@@ -4,7 +4,7 @@ Everything is computed in exact arithmetic over Z[√2] and quadratic surds
 above Q(√2); floating point appears only in advisory decimal renderings.
 """
 
-from .exact_field import QRt2, Surd, ZRt2, quad_root, sign, surd_cmp, surd_mobius
+from .exact_field import QRt2, Surd, ZRt2, quad_root, surd_mobius
 from .hecke_group import (
     H4Fraction,
     Mat2,
@@ -19,7 +19,6 @@ from .h4_expansion import (
     FiniteWord,
     PeriodicStream,
     RuleStream,
-    compare_tail_to_one,
     convergents,
     detect_period,
     next_digit,
@@ -54,12 +53,11 @@ from .uniform_approx import (
 )
 
 __all__ = [
-    "QRt2", "Surd", "ZRt2", "quad_root", "sign", "surd_cmp", "surd_mobius",
+    "QRt2", "Surd", "ZRt2", "quad_root", "surd_mobius",
     "H4Fraction", "Mat2", "canonicalize", "canonicalize_pair", "ford_tangent",
     "generators", "membership",
     "Expansion", "FiniteWord", "PeriodicStream", "RuleStream",
-    "compare_tail_to_one", "convergents", "detect_period", "next_digit",
-    "normalize_alpha",
+    "convergents", "detect_period", "next_digit", "normalize_alpha",
     "CFExpansion", "RosenDigit", "dual_rosen_convergents", "dual_rosen_digits",
     "rosen_convergents", "rosen_digits", "select_M", "select_N",
     "BestApprox", "best_approximations", "legendre_classify",

@@ -21,7 +21,7 @@ from .hecke_group import (
     numerators_near,
 )
 from .h4_expansion import CapExceeded, Expansion, Source
-from .rosen_cf import select_M, select_N
+from .rosen_cf import dual_flip, rosen_flip, select_M, select_N
 
 BEST_BY_SUFFICIENT = "best-by-sufficient"
 BEST_NOT_SUFFICIENT = "best-but-not-sufficient"
@@ -159,21 +159,14 @@ def _has_common_witness(exp: Expansion, side: str, n1: int, n2: int) -> bool:
     Interior indices of a length-3 range qualify automatically (the digit
     entering is 3 resp. 1 on both sides of them), so only short ranges need
     explicit sign checks."""
-    sgn = 1 if side == "tu" else -1
-
-    def rosen_at(n: int) -> bool:
-        return exp.star_cmp_one(n) * sgn > 0
-
-    def dual_at(n: int) -> bool:
-        t = exp.tail_cmp_one(n) * sgn
-        return t > 0 or (t == 0 and exp.star_cmp_one(n) * sgn > 0)
-
+    # The tu side qualifies above 1 (no flip), the vw side below 1 (flip).
+    flipped = side == "vw"
     if n2 - n1 >= 2:
         return True
     if n2 - n1 == 1:
         # n1's tail and n2's reversal qualify automatically.
-        return rosen_at(n1) or dual_at(n2)
-    return rosen_at(n1) and dual_at(n1)
+        return rosen_flip(exp, n1) == flipped or dual_flip(exp, n2) == flipped
+    return rosen_flip(exp, n1) == flipped and dual_flip(exp, n1) == flipped
 
 
 def _inf_fraction(m) -> H4Fraction:

@@ -33,7 +33,6 @@ from .uniform_approx import (
     k_exact,
     k_numeric,
     optimality_check,
-    uniform_sequence,
 )
 
 EXIT_OK = 0
@@ -359,9 +358,8 @@ def cmd_k(args, cap: int) -> Output:
             "records": args.records,
         }
         out.text = [f"K ~= {res.estimate!r} (windowed sup, not certified)"]
-        seq = uniform_sequence(alpha, args.records)
         out.csv_header = ["i", "value_decimal", "case", "exact_num", "exact_den"]
-        for r in seq:
+        for r in res.records:
             if r.value is not None:
                 out.csv_rows.append(
                     [r.i, r.value.decimal(DECIMAL_DIGITS), r.case,
@@ -497,23 +495,25 @@ COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["text", "json", "csv"], default=None)
-    p.add_argument("--json", dest="format", action="store_const", const="json")
-    p.add_argument("--csv", dest="format", action="store_const", const="csv")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap-iterations", type=int, default=None)
-    p.add_argument("--config", default=None)
+def _add_common(p: argparse.ArgumentParser, default: Any) -> None:
+    """The global flags.  The subcommand copies default to SUPPRESS, so a
+    flag given before the subcommand is kept unless it is given again after."""
+    p.add_argument("--format", choices=["text", "json", "csv"], default=default)
+    p.add_argument("--json", dest="format", action="store_const", const="json", default=default)
+    p.add_argument("--csv", dest="format", action="store_const", const="csv", default=default)
+    p.add_argument("--seed", type=int, default=default)
+    p.add_argument("--cap-iterations", type=int, default=default)
+    p.add_argument("--config", default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(prog="h4", description=__doc__)
-    _add_common(root)
+    _add_common(root, None)
     subs = root.add_subparsers(dest="command", required=True)
 
     def sub(name: str, **kwargs) -> argparse.ArgumentParser:
         p = subs.add_parser(name, **kwargs)
-        _add_common(p)
+        _add_common(p, argparse.SUPPRESS)
         return p
 
     p = sub("expand", help="digit expansion of a value or stream")
@@ -597,8 +597,6 @@ def _resolve(args: argparse.Namespace) -> None:
             if key in ("seed", "cap_iterations"):
                 value = int(value)
             setattr(args, key, value)
-    if getattr(args, "seed", None) is None:
-        args.seed = DEFAULTS["seed"]
 
 
 def run(argv: Sequence[str]) -> int:

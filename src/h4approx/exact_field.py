@@ -156,11 +156,6 @@ TWO = ZRt2(2, 0)
 SQRT2 = ZRt2(0, 1)
 
 
-def sign(x: ZRt2) -> int:
-    """Exact sign of a + b√2, decided purely by integer comparisons."""
-    return x.sign()
-
-
 def zrt2_sqrt(d: ZRt2) -> ZRt2 | None:
     """The positive square root of d in Z[√2], or None if d is not a square.
 
@@ -558,12 +553,6 @@ class Surd:
         else:
             body = f"{self.P} + ({self.Q})·√({self.D})"
         return body if self.S == ONE else f"({body})/{self.S}"
-
-
-def surd_cmp(x: Surd, y: Surd) -> int:
-    """Exact three-way comparison; MixedRadicands if both radical parts are
-    live with different D."""
-    return x.cmp(y)
 
 
 def surd_mobius(m, x: Surd) -> Surd:

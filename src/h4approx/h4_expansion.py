@@ -437,14 +437,6 @@ def detect_period(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> DigitStream:
     raise CapExceeded(f"no repeated tail within {cap} steps")
 
 
-def compare_tail_to_one(stream: DigitStream, n: int, cap: int = DEFAULT_SCAN_CAP) -> int:
-    """Sign of α_n − 1 for a stream-defined value, without surd arithmetic."""
-    k = stream.next_non_two(n, cap)
-    if k is None:
-        return 0
-    return 1 if stream.digit(k) == 3 else -1
-
-
 @dataclass(frozen=True)
 class NormalizedAlpha:
     shift_power: int

@@ -78,13 +78,6 @@ class Mat2:
     def act(self, x: Surd) -> Surd:
         return surd_mobius(self, x)
 
-    def act_inf(self) -> tuple[ZRt2, ZRt2]:
-        """Image of ∞ as the projective pair (t, u)."""
-        return self.t, self.u
-
-    def act_zero(self) -> tuple[ZRt2, ZRt2]:
-        return self.v, self.w
-
     def __str__(self) -> str:
         return f"[[{self.t}, {self.v}], [{self.u}, {self.w}]]"
 

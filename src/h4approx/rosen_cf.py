@@ -10,12 +10,12 @@ must agree wherever both apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
+from typing import Callable, Iterator
 
 from .exact_field import ONE, SQRT2, ZERO, Surd, ZRt2
 from .hecke_group import H4Fraction, J, Mat2, canonicalize_pair
-from .h4_expansion import Expansion, Source
-
-SQRT2_SURD = Surd.sqrt2()
+from .h4_expansion import SQRT2_SURD, CapExceeded, Expansion, Source
 
 
 class DomainError(ValueError):
@@ -96,60 +96,62 @@ def _dual_window(x: Surd) -> int:
     return ((x - 1) / SQRT2_SURD).floor() + 1
 
 
-def rosen_digits(alpha: Surd, n_terms: int) -> CFExpansion:
-    """Rosen expansion by exact iteration of f(x) = 1/|x − a√2| on the
-    nearest-√2-multiple window."""
+def _gauss_map(
+    alpha: Surd, n_terms: int, kind: str, window: Callable[[Surd], int], lower: int | ZRt2
+) -> CFExpansion:
+    """Exact iteration of f(x) = 1/|x − a√2| with a taken from the window;
+    every iterate after the first exceeds `lower`."""
     if alpha.is_sqrt2_rational():
         raise DomainError("value lies in √2·Q")
-    a0 = _rosen_window(alpha)
-    x = alpha - ZRt2(0, a0)
-    eps = x.sign()
-    x = ONE / abs(x)
+    a0 = a = window(alpha)
+    x = alpha
     terms: list[RosenDigit] = []
-    for _ in range(n_terms):
-        assert x.cmp(SQRT2) > 0
-        a = _rosen_window(x)
-        terms.append(RosenDigit(eps, a))
+    while True:
         x = x - ZRt2(0, a)
         eps = x.sign()
         x = ONE / abs(x)
-    return CFExpansion("rosen", a0, tuple(terms))
+        if len(terms) >= n_terms:
+            return CFExpansion(kind, a0, tuple(terms))
+        assert x.cmp(lower) > 0
+        a = window(x)
+        terms.append(RosenDigit(eps, a))
+
+
+def rosen_digits(alpha: Surd, n_terms: int) -> CFExpansion:
+    """Rosen expansion by exact iteration of f(x) = 1/|x − a√2| on the
+    nearest-√2-multiple window."""
+    return _gauss_map(alpha, n_terms, "rosen", _rosen_window, SQRT2)
 
 
 def dual_rosen_digits(alpha: Surd, n_terms: int) -> CFExpansion:
     """Dual expansion: window (ã−1)√2 + 1 ≤ x < ã√2 + 1, closed left end."""
-    if alpha.is_sqrt2_rational():
-        raise DomainError("value lies in √2·Q")
-    a0 = _dual_window(alpha)
-    x = alpha - ZRt2(0, a0)
-    eps = x.sign()
-    x = ONE / abs(x)
-    terms: list[RosenDigit] = []
-    for _ in range(n_terms):
-        assert x.cmp(1) > 0
-        a = _dual_window(x)
-        terms.append(RosenDigit(eps, a))
-        x = x - ZRt2(0, a)
-        eps = x.sign()
-        x = ONE / abs(x)
-    return CFExpansion("dual-rosen", a0, tuple(terms))
+    return _gauss_map(alpha, n_terms, "dual-rosen", _dual_window, 1)
+
+
+def rosen_flip(exp: Expansion, n: int) -> bool:
+    """σ_n: the reversal α*_n is below 1 (it never equals 1)."""
+    star = exp.star_cmp_one(n)
+    assert star != 0, "reversal value 1 cannot occur"
+    return star < 0
+
+
+def dual_flip(exp: Expansion, n: int) -> bool:
+    """σ̃_n: the tail α_n is below 1, ties broken by the reversal."""
+    t = exp.tail_cmp_one(n)
+    return t < 0 or (t == 0 and exp.star_cmp_one(n) < 0)
 
 
 def select_M(exp: Expansion, n: int) -> Mat2:
     """G_n when the reversal exceeds 1, else G_n·J; M_n·∞ is the interval
     endpoint with the smaller denominator."""
-    star = exp.star_cmp_one(n)
-    assert star != 0, "reversal value 1 cannot occur"
     g = exp.matrix(n)
-    return g if star > 0 else g * J
+    return g * J if rosen_flip(exp, n) else g
 
 
 def select_N(exp: Expansion, n: int) -> Mat2:
     """G_n when the tail exceeds 1 (ties broken by the reversal), else G_n·J."""
-    t = exp.tail_cmp_one(n)
-    flip = t < 0 or (t == 0 and exp.star_cmp_one(n) < 0)
     g = exp.matrix(n)
-    return g * J if flip else g
+    return g * J if dual_flip(exp, n) else g
 
 
 def selector_fractions(exp: Expansion, kind: str, n_max: int) -> list[H4Fraction]:
@@ -165,89 +167,93 @@ def selector_fractions(exp: Expansion, kind: str, n_max: int) -> list[H4Fraction
     return out
 
 
-_ROSEN_LETTERS = ("A1J", "A2", "A3")
-
-
-def _h4_letters_rosen(exp: Expansion, n_letters: int) -> list[str]:
+def _h4_letters_rosen(exp: Expansion) -> Iterator[str]:
     """Letters of M_n as a word in {A1J, A2, A3}, driven by the flip state
-    σ_n = [reversal < 1]; A1J toggles σ after its digit."""
-    letters = []
+    σ_n; A1J toggles σ after its digit."""
     sigma = False  # σ_0: the empty reversal counts as ∞ > 1
-    for n in range(1, n_letters + 1):
+    for n in range(1, exp.cap + 1):
         d = exp.digit(n)
         if d == 2:
-            letters.append("A2")
+            letter = "A2"
         elif (d == 1) != sigma:  # d=1 with σ=0, or d=3 with σ=1
-            letters.append("A1J")
+            letter = "A1J"
             sigma = not sigma
         else:
-            letters.append("A3")
-        assert sigma == (exp.star_cmp_one(n) < 0)
-    return letters
+            letter = "A3"
+        assert sigma == rosen_flip(exp, n)
+        yield letter
+    raise CapExceeded(f"regrouping walk read {exp.cap} letters")
 
 
-def _h4_letters_dual(exp: Expansion, n_letters: int) -> tuple[bool, list[str]]:
-    """Letters of N_n in {JA1, A2, A3} plus the initial flip σ̃_0 (true iff
-    the value itself is below 1); JA1 toggles σ̃ before its digit."""
-
-    def flip_state(n: int) -> bool:
-        t = exp.tail_cmp_one(n)
-        return t < 0 or (t == 0 and exp.star_cmp_one(n) < 0)
-
-    letters = []
-    sigma = flip_state(0)
-    sigma0 = sigma
-    for n in range(1, n_letters + 1):
+def _h4_letters_dual(exp: Expansion, sigma: bool) -> Iterator[str]:
+    """Letters of N_n in {JA1, A2, A3} from the initial flip σ̃_0 on; JA1
+    toggles σ̃ before its digit."""
+    for n in range(1, exp.cap + 1):
         d = exp.digit(n)
-        nxt = flip_state(n)
+        nxt = dual_flip(exp, n)
         if sigma == nxt:
             assert d != (3 if sigma else 1)
-            letters.append("A2" if d == 2 else "A3")
+            yield "A2" if d == 2 else "A3"
         else:
             assert d == (1 if sigma else 3)
-            letters.append("JA1")
+            yield "JA1"
         sigma = nxt
-    return sigma0, letters
+    raise CapExceeded(f"regrouping walk read {exp.cap} letters")
 
 
-def rosen_from_h4(source: Source | Expansion, n_terms: int, max_letters: int = 4000) -> CFExpansion:
+def _blocks(letters: Iterator[str], closers: dict[str, int]) -> Iterator[tuple[int, int]]:
+    """(A3-run length, closer sign) for each run of A3 letters closed by one
+    of the closers."""
+    run = 0
+    for letter in letters:
+        if letter == "A3":
+            run += 1
+        else:
+            yield run, closers[letter]
+            run = 0
+
+
+def rosen_from_h4(source: Source | Expansion, n_terms: int) -> CFExpansion:
     """Rosen digits read off the expansion word by block regrouping: runs of
     A3 letters closed by A1J (ε = +1) or A2 (ε = −1); the value's own block
-    carries one extra unit from the shift into the map's domain."""
+    carries one extra unit from the shift into the map's domain.
+
+    The walk stops at the letter closing block n_terms, the last block the
+    terms use; a block is decided by the letters before it, so reading more
+    would not change the result.  It raises CapExceeded when the expansion's
+    cap letters do not close that many blocks."""
     exp = source if isinstance(source, Expansion) else Expansion(source)
-    letters = _h4_letters_rosen(exp, max_letters)
-    blocks = _parse_blocks(letters, terminators={"A1J": 1, "A2": -1})
-    if not blocks:
-        raise ValueError("not enough letters for one complete block")
-    run0, eps1 = blocks[0]
+    blocks = islice(_blocks(_h4_letters_rosen(exp), {"A1J": 1, "A2": -1}), n_terms + 1)
+    run0, eps = next(blocks)
     # Block 0 regroups the shifted value, so it encodes a0 + 1.
-    a0 = run0 if eps1 == 1 else run0 + 1
+    a0 = run0 if eps == 1 else run0 + 1
     terms: list[RosenDigit] = []
-    eps = eps1
-    for run, nxt_eps in blocks[1 : n_terms + 1]:
-        a = run + 1 if nxt_eps == 1 else run + 2
-        terms.append(RosenDigit(eps, a))
+    for run, nxt_eps in blocks:
+        terms.append(RosenDigit(eps, run + 1 if nxt_eps == 1 else run + 2))
         eps = nxt_eps
     return CFExpansion("rosen", a0, tuple(terms))
 
 
-def dual_from_h4(source: Source | Expansion, n_terms: int, max_letters: int = 4000) -> CFExpansion:
+def dual_from_h4(source: Source | Expansion, n_terms: int) -> CFExpansion:
     """Dual digits from the expansion word: runs of A3 closed by JA1
     (ε̃ = +1) or A2 (ε̃ = −1); a −1 sign borrows one unit from the following
-    block.  A value below 1 contributes ã_0 = 0 and a phantom +1 terminator."""
+    block.  A value below 1 contributes ã_0 = 0 and a phantom +1 closer.
+
+    The walk stops at the letter closing block n_terms, counting the phantom
+    block; a block is decided by the letters before it, so reading more
+    would not change the result.  It raises CapExceeded when the expansion's
+    cap letters do not close that many blocks."""
     exp = source if isinstance(source, Expansion) else Expansion(source)
-    sigma0, letters = _h4_letters_dual(exp, max_letters)
-    blocks = _parse_blocks(letters, terminators={"JA1": 1, "A2": -1})
+    sigma0 = dual_flip(exp, 0)
+    blocks = _blocks(_h4_letters_dual(exp, sigma0), {"JA1": 1, "A2": -1})
     if sigma0:
-        blocks = [(-1, 1)] + blocks  # phantom block: ã_0 = 0, ε̃_1 = +1
-    if not blocks:
-        raise ValueError("not enough letters for one complete block")
-    a0 = blocks[0][0] + 1
+        blocks = chain([(-1, 1)], blocks)  # phantom block: ã_0 = 0, ε̃_1 = +1
+    blocks = islice(blocks, n_terms + 1)
+    run0, eps = next(blocks)
+    a0 = run0 + 1
     terms: list[RosenDigit] = []
-    eps = blocks[0][1]
-    for run, nxt_eps in blocks[1 : n_terms + 1]:
-        a = run + 2 if eps == -1 else run + 1
-        terms.append(RosenDigit(eps, a))
+    for run, nxt_eps in blocks:
+        terms.append(RosenDigit(eps, run + 2 if eps == -1 else run + 1))
         eps = nxt_eps
     return CFExpansion("dual-rosen", a0, tuple(terms))
 
@@ -286,17 +292,3 @@ def dual_rosen_convergents(alpha: Surd, i_max: int) -> list[ConvergentPair]:
         "digit recurrence and selector pipeline disagree"
     )
     return convs
-
-
-def _parse_blocks(letters: list[str], terminators: dict[str, int]) -> list[tuple[int, int]]:
-    """Split a letter word into (A3-run length, terminator sign) blocks,
-    dropping a trailing unterminated run."""
-    blocks: list[tuple[int, int]] = []
-    run = 0
-    for letter in letters:
-        if letter == "A3":
-            run += 1
-        else:
-            blocks.append((run, terminators[letter]))
-            run = 0
-    return blocks

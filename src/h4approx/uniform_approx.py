@@ -127,6 +127,7 @@ class KResult:
     value: Surd | None
     estimate: float
     phases: tuple[PhaseLimit, ...] = ()
+    records: tuple[UniformRecord, ...] = ()  # the sequence a numeric estimate reads
 
     def decimal(self, digits: int = 30) -> str:
         return self.value.decimal(digits) if self.value is not None else repr(self.estimate)
@@ -199,7 +200,7 @@ def k_numeric(source: Source | Expansion, records: int = 1000, window: int = 200
     """Windowed sup of the record values: an uncertified limsup estimate."""
     seq = uniform_sequence(source, records)
     tail = seq[-window:] if window < len(seq) else seq
-    return KResult("numeric-limsup", False, None, max(r.midpoint() for r in tail))
+    return KResult("numeric-limsup", False, None, max(r.midpoint() for r in tail), records=tuple(seq))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from h4approx.exact_field import ONE, SQRT2, QRt2, Surd, ZRt2, sign
+from h4approx.exact_field import ONE, SQRT2, QRt2, Surd, ZRt2
 from h4approx.hecke_group import (
     DIGIT_MATRICES,
     H4Fraction,
@@ -288,10 +288,10 @@ def test_criterion_10_algebraic_invariants():
     for _ in range(4000):
         x = ZRt2(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
         y = ZRt2(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
-        assert sign(x * y) == sign(x) * sign(y)
+        assert (x * y).sign() == x.sign() * y.sign()
         ev_lo = x.a + x.b * (lo2 if x.b >= 0 else hi2)
         ev_hi = x.a + x.b * (hi2 if x.b >= 0 else lo2)
-        assert sign(x) == (1 if ev_lo > 0 else (-1 if ev_hi < 0 else 0))
+        assert x.sign() == (1 if ev_lo > 0 else (-1 if ev_hi < 0 else 0))
         checks += 2
 
     # Total order: antisymmetry and transitivity on random surd triples.

@@ -193,3 +193,35 @@ class TestDeterminismAndConfig:
         for s in make_corpus(5, 5, 4):
             again = parse_alpha(json.dumps(surd_to_json(s)))
             assert again == s
+
+
+class TestGlobalFlagPlacement:
+    """Global flags are accepted before or after the subcommand; when both
+    are given, the one after the subcommand wins."""
+
+    def test_format_before_subcommand(self, capsys):
+        assert run(["--json", "expand", "--alpha", "one", "--digits", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["digits"] == [2, 2, 2]
+
+    def test_seed_before_subcommand(self, capsys):
+        run(["corpus", "--size", "1", "--seed", "8"])
+        after = capsys.readouterr().out
+        run(["corpus", "--size", "1", "--seed", "1"])
+        assert capsys.readouterr().out != after
+        run(["--seed", "8", "corpus", "--size", "1"])
+        assert capsys.readouterr().out == after
+
+    def test_cap_before_subcommand(self, capsys):
+        argv = ["best", "--alpha", "surd17", "--count", "50"]
+        assert run(["--cap-iterations", "5", *argv]) == 3
+        assert "cap exceeded" in capsys.readouterr().err
+        assert run([*argv, "--cap-iterations", "5"]) == 3
+
+    def test_flag_after_subcommand_wins(self, capsys):
+        argv = ["expand", "--alpha", "one", "--digits", "2"]
+        assert run(["--json", *argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "n,digit\n1,2\n2,2\n"
+        run(["corpus", "--size", "1", "--seed", "1"])
+        seed1 = capsys.readouterr().out
+        run(["--seed", "8", "corpus", "--size", "1", "--seed", "1"])
+        assert capsys.readouterr().out == seed1

@@ -1,0 +1,66 @@
+"""The README's `h4` examples, pinned in text, json and csv by sha256 digest.
+
+Every command of the CLI appears here at least once, so a refactor of the
+library or of the renderers that changes a single output byte fails.  The
+digests live in cli_goldens.json.  To re-record them after a deliberate,
+documented change of output:
+
+    PYTHONPATH=src python3 tests/test_cli_goldens.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from h4approx.cli import run
+
+GOLDENS_PATH = Path(__file__).with_name("cli_goldens.json")
+
+README_EXAMPLES = [
+    "expand --alpha surd17 --digits 12",
+    "expand --stream four-blocks --digits 16",
+    "period --alpha surd17",
+    "rosen --alpha surd17 --digits 5",
+    "dual-rosen --alpha one --digits 5",
+    "best --alpha surd17 --count 4",
+    "oracle --alpha surd17 --max-q 30",
+    "legendre --alpha surd17 --p 0,2 --q 1,0",
+    "k --alpha one --exact",
+    "k --alpha surd17 --numeric --window 60 --records 400",
+    "dirichlet --alpha surd17 --n-max 500",
+    "optimality --stream A --i-max 5",
+    "corpus --size 10 --seed 1 --coeff-bound 5",
+]
+FORMATS = ["text", "json", "csv"]
+CASES = [f"{example} --format {fmt}" for example in README_EXAMPLES for fmt in FORMATS]
+
+
+def run_digest(case: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(case.split())
+    assert code == 0, f"{case!r} exited {code}"
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_readme_example_output(case):
+    goldens = json.loads(GOLDENS_PATH.read_text(encoding="utf-8"))
+    assert run_digest(case) == goldens[case]
+
+
+def test_goldens_cover_every_case():
+    goldens = json.loads(GOLDENS_PATH.read_text(encoding="utf-8"))
+    assert sorted(goldens) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    table = {case: run_digest(case) for case in CASES}
+    GOLDENS_PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(table)} digests written to {GOLDENS_PATH.name}")

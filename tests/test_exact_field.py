@@ -22,8 +22,6 @@ from h4approx.exact_field import (
     ZeroLeadingCoefficient,
     ZRt2,
     quad_root,
-    sign,
-    surd_cmp,
     surd_mobius,
     zrt2_sqrt,
 )
@@ -51,19 +49,19 @@ SURD17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))  # (3+√17)/(2√2)
 
 class TestSign:
     def test_zero(self):
-        assert sign(ZRt2(0, 0)) == 0
+        assert ZRt2(0, 0).sign() == 0
 
     def test_one_minus_sqrt2(self):
-        assert sign(ZRt2(1, -1)) == -1
+        assert ZRt2(1, -1).sign() == -1
 
     def test_mixed_signs_positive(self):
         # -2 + 3√2 > 0 because 2^2 < 2*3^2 (4 < 18).
         assert 2 * 2 < 2 * 3 * 3
-        assert sign(ZRt2(-2, 3)) == 1
+        assert ZRt2(-2, 3).sign() == 1
 
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
     def test_agrees_with_evaluation(self, a, b):
-        assert sign(ZRt2(a, b)) == eval_sign_oracle(ZRt2(a, b))
+        assert ZRt2(a, b).sign() == eval_sign_oracle(ZRt2(a, b))
 
     @given(
         st.integers(-10**4, 10**4),
@@ -73,7 +71,7 @@ class TestSign:
     )
     def test_multiplicative(self, a, b, c, d):
         x, y = ZRt2(a, b), ZRt2(c, d)
-        assert sign(x * y) == sign(x) * sign(y)
+        assert (x * y).sign() == x.sign() * y.sign()
 
 
 class TestZRt2Ring:
@@ -160,10 +158,10 @@ class TestSurdNormalisation:
 
 class TestSurdCompare:
     def test_surd17_above_sqrt2(self):
-        assert surd_cmp(SURD17, Surd.sqrt2()) == 1
+        assert SURD17.cmp(Surd.sqrt2()) == 1
 
     def test_equal(self):
-        assert surd_cmp(Surd.of(1), Surd.of(1)) == 0
+        assert Surd.of(1).cmp(Surd.of(1)) == 0
 
     def test_surd17_below_two_sqrt2(self):
         # Oracle: (3+√17)^2 = 26+6√17 and (2√2·2√2)/... reduces to 6√17 < 6+... ;
@@ -173,13 +171,13 @@ class TestSurdCompare:
         alpha_hi = (3 + hi17) / (2 * SQRT2_LO)
         two_sqrt2_lo = 2 * SQRT2_LO
         assert alpha_hi < two_sqrt2_lo
-        assert surd_cmp(SURD17, Surd(ZRt2(0, 2), ZERO, ONE, ONE)) == -1
+        assert SURD17.cmp(Surd(ZRt2(0, 2), ZERO, ONE, ONE)) == -1
 
     def test_mixed_radicands_raise(self):
         a = Surd(ZERO, ONE, ZRt2(3, 0), ONE)
         b = Surd(ZERO, ONE, ZRt2(5, 0), ONE)
         with pytest.raises(MixedRadicands):
-            surd_cmp(a, b)
+            a.cmp(b)
 
     def test_degenerate_mixes_freely(self):
         assert SURD17 > Surd.of(2)
@@ -194,10 +192,10 @@ class TestSurdCompare:
         ]
         for x in vals:
             for y in vals:
-                assert surd_cmp(x, y) == -surd_cmp(y, x)
+                assert x.cmp(y) == -y.cmp(x)
                 for z in vals:
-                    if surd_cmp(x, y) <= 0 and surd_cmp(y, z) <= 0:
-                        assert surd_cmp(x, z) <= 0
+                    if x.cmp(y) <= 0 and y.cmp(z) <= 0:
+                        assert x.cmp(z) <= 0
 
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 50))
     def test_cmp_agrees_with_evaluation(self, a, b, s):

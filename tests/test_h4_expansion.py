@@ -13,7 +13,6 @@ from h4approx.h4_expansion import (
     FiniteWord,
     PeriodicStream,
     Terminated,
-    compare_tail_to_one,
     convergents,
     detect_period,
     four_blocks_stream,
@@ -216,15 +215,15 @@ class TestDetectPeriod:
 class TestCompareTail:
     def test_all_two_tail(self):
         stream = PeriodicStream((), (2,))
-        assert compare_tail_to_one(stream, 5) == 0
+        assert Expansion(stream).tail_cmp_one(5) == 0
 
     def test_three_leads(self):
         stream = PeriodicStream((), (3, 2))
-        assert compare_tail_to_one(stream, 0) == 1
+        assert Expansion(stream).tail_cmp_one(0) == 1
 
     def test_two_two_one(self):
         stream = PeriodicStream((2, 2, 1), (3,))
-        assert compare_tail_to_one(stream, 0) == -1
+        assert Expansion(stream).tail_cmp_one(0) == -1
         # Cross-check on a matching exact value: A2·A2·A1·1 = (7+2√2)/(3+5√2)
         # has digits (2,2,1,2,2,...) and is below 1.
         alpha = Surd.from_ratio(ZRt2(7, 2), ZRt2(3, 5))
@@ -239,7 +238,7 @@ class TestCompareTail:
         assert [tp.digit(n) for n in range(1, 11)] == [3, 2, 3, 2, 2, 2, 2, 2, 3, 2]
         assert fb.next_non_two(8) == 12
         assert tp.next_non_two(9) == 27
-        assert compare_tail_to_one(tp, 9) == 1
+        assert Expansion(tp).tail_cmp_one(9) == 1
 
     def test_stream_backed_expansion_matches_surd(self):
         stream = detect_period(SURD17)

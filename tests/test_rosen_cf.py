@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from h4approx.exact_field import ONE, SQRT2, Surd, ZRt2, quad_root
 from h4approx.hecke_group import DIGIT_MATRICES, J, Mat2, canonicalize_pair
-from h4approx.h4_expansion import Expansion, detect_period
+from h4approx.h4_expansion import CapExceeded, Expansion, PeriodicStream, detect_period
 from h4approx.rosen_cf import (
     CFExpansion,
     DomainError,
@@ -23,6 +23,19 @@ from h4approx.rosen_cf import (
 )
 
 SURD17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))
+
+
+class DigitBudget(Expansion):
+    """An expansion that fails on any request past digit `limit`."""
+
+    def __init__(self, source, limit: int):
+        super().__init__(source)
+        self.limit = limit
+
+    def _extend(self, n: int) -> None:
+        if n > self.limit:
+            raise AssertionError(f"digit {n} requested past the budget {self.limit}")
+        super()._extend(n)
 
 
 def random_periodic_surd(word: list[int]) -> Surd | None:
@@ -147,15 +160,30 @@ class TestSelectors:
 class TestPipelineAgreement:
     def test_rosen_regrouping_matches_gauss_surd17(self):
         direct = rosen_digits(SURD17, 20)
-        combinatorial = rosen_from_h4(Expansion(SURD17), 20, max_letters=300)
+        combinatorial = rosen_from_h4(Expansion(SURD17), 20)
         assert direct.a0 == combinatorial.a0
         assert direct.terms == combinatorial.terms
 
     def test_dual_regrouping_matches_gauss_surd17(self):
         direct = dual_rosen_digits(SURD17, 20)
-        combinatorial = dual_from_h4(Expansion(SURD17), 20, max_letters=300)
+        combinatorial = dual_from_h4(Expansion(SURD17), 20)
         assert direct.a0 == combinatorial.a0
         assert direct.terms == combinatorial.terms
+
+    def test_regrouping_reads_only_the_digits_it_needs(self):
+        # The convergent cross-checks walk a0 + Σa + 4 digits; the regrouping
+        # walk must fit the same budget.
+        for gauss, regroup in ((rosen_digits, rosen_from_h4), (dual_rosen_digits, dual_from_h4)):
+            direct = gauss(SURD17, 10)
+            limit = direct.a0 + sum(t.a for t in direct.terms) + 4
+            combino = regroup(DigitBudget(SURD17, limit), 10)
+            assert (combino.a0, combino.terms) == (direct.a0, direct.terms)
+
+    def test_regrouping_walk_stops_at_the_expansion_cap(self):
+        # All threes: A3 letters only, so no block ever closes.
+        for regroup in (rosen_from_h4, dual_from_h4):
+            with pytest.raises(CapExceeded):
+                regroup(Expansion(PeriodicStream((), (3,)), cap=50), 3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=6))
@@ -168,7 +196,7 @@ class TestPipelineAgreement:
             (dual_rosen_digits, dual_from_h4),
         ):
             direct = direct_fn(alpha, 8)
-            combino = combino_fn(Expansion(alpha), 8, max_letters=400)
+            combino = combino_fn(Expansion(alpha), 8)
             assert direct.a0 == combino.a0
             assert direct.terms == combino.terms[: len(direct.terms)]
 
@@ -213,10 +241,8 @@ class TestPipelineAgreement:
         for alpha in make_corpus(seed=1, size=100, coeff_bound=5):
             exp = Expansion(alpha)
             direct = rosen_digits(alpha, 50)
-            budget = direct.a0 + sum(t.a for t in direct.terms) + 8
-            combino = rosen_from_h4(exp, 50, max_letters=budget)
+            combino = rosen_from_h4(exp, 50)
             assert (direct.a0, direct.terms) == (combino.a0, combino.terms)
             direct = dual_rosen_digits(alpha, 50)
-            budget = direct.a0 + sum(t.a for t in direct.terms) + 8
-            combino = dual_from_h4(exp, 50, max_letters=budget)
+            combino = dual_from_h4(exp, 50)
             assert (direct.a0, direct.terms) == (combino.a0, combino.terms)

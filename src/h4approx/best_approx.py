@@ -85,6 +85,8 @@ def best_approximations(
     """
     if max_q is None and max_count is None:
         raise ValueError("need a denominator bound or a count")
+    if max_count is not None and max_count < 1:
+        raise ValueError(f"count must be at least 1, got {max_count}")
     exp = source if isinstance(source, Expansion) else Expansion(source)
     stop_q = None if max_q is None else ZRt2.of(max_q)
     m = exp.leading_threes()
@@ -93,22 +95,20 @@ def best_approximations(
     rosen_set: set[H4Fraction] = set()
     dual_set: set[H4Fraction] = set()
     tu_start = vw_start = m + 1
-    n_final = m + 1
     for n in range(m + 1, cap + 1):
-        n_final = n
-        st = exp.state(n)
+        g = exp.matrix(n)
         rosen_set.add(_inf_fraction(select_M(exp, n)))
         dual_set.add(_inf_fraction(select_N(exp, n)))
         d_next = exp.digit(n + 1)
         if d_next != 3:
             if exp.tail_cmp_one(n) > 0 or exp.star_cmp_one(n) > 0:
-                emissions.append(("tu", tu_start, n, st.tu_fraction()))
+                emissions.append(("tu", tu_start, n, _inf_fraction(g)))
             tu_start = n + 1
         if d_next != 1:
             if exp.tail_cmp_one(n) < 0 or exp.star_cmp_one(n) < 0:
-                emissions.append(("vw", vw_start, n, st.vw_fraction()))
+                emissions.append(("vw", vw_start, n, canonicalize_pair(g.v, g.w)))
             vw_start = n + 1
-        low = st.u if (st.u - st.w).sign() < 0 else st.w
+        low = g.u if (g.u - g.w).sign() < 0 else g.w
         if stop_q is not None:
             if low.cmp(stop_q) > 0:
                 break
@@ -132,7 +132,7 @@ def best_approximations(
     out: list[BestApprox] = []
     prev_q: ZRt2 | None = None
     prev_err: Surd | None = None
-    alpha = exp.tail(0)
+    alpha = exp.alpha
     for side, n1, n2, frac in emissions:
         if stop_q is not None and frac.q.cmp(stop_q) > 0:
             continue

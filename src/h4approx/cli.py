@@ -257,12 +257,12 @@ def _cf_output(cf: CFExpansion) -> Output:
 
 def cmd_rosen(args, cap: int) -> Output:
     alpha = require_surd(parse_alpha(args.alpha), "rosen")
-    return _cf_output(rosen_digits(alpha, args.digits))
+    return _cf_output(rosen_digits(alpha, args.digits, cap=cap))
 
 
 def cmd_dual_rosen(args, cap: int) -> Output:
     alpha = require_surd(parse_alpha(args.alpha), "dual-rosen")
-    return _cf_output(dual_rosen_digits(alpha, args.digits))
+    return _cf_output(dual_rosen_digits(alpha, args.digits, cap=cap))
 
 
 def cmd_best(args, cap: int) -> Output:
@@ -599,10 +599,22 @@ def _resolve(args: argparse.Namespace) -> None:
             setattr(args, key, value)
 
 
+# Flags that count digits, terms, records or a bound; none may be negative.
+COUNT_FLAGS = ("digits", "count", "max_q", "n_max", "records", "window", "i_max", "size")
+
+
+def _check_counts(args: argparse.Namespace) -> None:
+    for name in COUNT_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValidationError(f"--{name.replace('_', '-')} must not be negative, got {value}")
+
+
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         _resolve(args)
         out = COMMANDS[args.command](args, args.cap_iterations)
     except (ParseError, ValidationError, DomainError, NotInQH4, NonPeriodicInput,

@@ -74,6 +74,9 @@ class ZRt2:
 
     __rmul__ = __mul__
 
+    def times_sqrt2(self) -> ZRt2:
+        return ZRt2(2 * self.b, self.a)
+
     def __pow__(self, n: int) -> ZRt2:
         if n < 0:
             raise ValueError("negative powers leave Z[sqrt2]")
@@ -338,6 +341,18 @@ def _render_decimal(bounds: _Iv, digits: int) -> str:
         return str(Decimal(mid.numerator) / Decimal(mid.denominator))
 
 
+def root_sign(X: ZRt2, Y: ZRt2, D: ZRt2) -> int:
+    """Exact sign of X + Y√D for a positive radicand D: the one sign kernel
+    behind every surd sign and comparison.  The squaring step
+    sign(X² − Y²D) runs only when X and Y have opposite signs."""
+    sx, sy = X.sign(), Y.sign()
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    return sx * (X * X - Y * Y * D).sign()
+
+
 Scalar = Union[int, ZRt2, QRt2, "Surd"]
 
 
@@ -474,22 +489,20 @@ class Surd:
         return -self if self.sign() < 0 else self
 
     def sign(self) -> int:
-        sp, sq = self.P.sign(), self.Q.sign()
-        if sq == 0:
-            s = sp
-        elif sp == 0:
-            s = sq
-        elif sp == sq:
-            s = sp
-        else:
-            t = (self.P * self.P - self.Q * self.Q * self.D).sign()
-            s = sp * t
-        return s * self.S.sign()
+        # S is a positive rational integer in normal form.
+        return root_sign(self.P, self.Q, self.D)
+
+    def linear_sign(self, c: ZRt2, d: ZRt2) -> int:
+        """Exact sign of self·c − d for c, d in Z[√2], without building a
+        surd: with S > 0 it is the sign of (Pc − dS) + Qc·√D."""
+        return root_sign(self.P * c - d * self.S, self.Q * c, self.D)
 
     def is_zero(self) -> bool:
         return self.sign() == 0
 
     def cmp(self, other: Scalar) -> int:
+        if isinstance(other, (int, ZRt2)):
+            return self.linear_sign(ONE, ZRt2.of(other))
         return (self - other).sign()
 
     def __lt__(self, other: Scalar) -> bool:

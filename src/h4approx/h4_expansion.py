@@ -3,9 +3,9 @@ d_n in {1,2,3}, the convergent matrix chain G_n, exact tails, reversals,
 and periodicity detection.
 
 Two interchangeable backends drive everything downstream: an exact surd
-(digits found by comparisons against 1/√2 and √2, tails kept exactly) and a
-symbolic digit stream (digits prescribed by a rule; tail questions answered
-combinatorially).
+(every digit and tail question is the sign of α·c − d with c, d read off
+G_n; tails on demand from G_n) and a symbolic digit stream (digits
+prescribed by a rule; tail questions answered combinatorially).
 """
 
 from __future__ import annotations
@@ -233,12 +233,19 @@ def next_digit(x: Surd) -> tuple[int, Surd]:
 
 @dataclass(frozen=True)
 class ConvergentState:
-    """Index n, the matrix G_n = [[t, v], [u, w]], and the exact tail when
-    the expansion is surd-backed."""
+    """Index n, the matrix G_n = [[t, v], [u, w]], and the expanded value α
+    when the expansion is surd-backed."""
 
     n: int
     mat: Mat2
-    tail: Surd | None = None
+    alpha: Surd | None = field(default=None, repr=False)
+
+    @property
+    def tail(self) -> Surd | None:
+        """The exact tail α_n = G_n⁻¹·α, computed on each access."""
+        if self.alpha is None:
+            return None
+        return self.mat.inverse().act(self.alpha)
 
     @property
     def t(self) -> ZRt2:
@@ -268,10 +275,6 @@ class ConvergentState:
             return None
         return Surd.from_ratio(self.w, self.u)
 
-    def star_cmp_one(self) -> int:
-        """Sign of α*_n − 1; u_n = 0 counts as ∞ > 1."""
-        return (self.w - self.u).sign()
-
 
 Source = Union[Surd, DigitStream]
 
@@ -279,8 +282,11 @@ Source = Union[Surd, DigitStream]
 class Expansion:
     """Lazy digit/convergent engine over either backend.
 
-    Matrices, digits, and (for surd inputs) exact tails are cached as the
-    walk advances; emitted values are immutable and safe to share.
+    Digits and matrices are cached as the walk advances; a surd backend
+    keeps only α besides them and builds tails on demand from G_n.  Since
+    G_n is increasing on (0, ∞), α_n < x ⟺ α < G_n·x, so every digit and
+    tail sign is one exact predicate α.linear_sign(c, d) with c, d in Z[√2].
+    Emitted values are immutable and safe to share.
     """
 
     def __init__(self, source: Source, cap: int = DEFAULT_SCAN_CAP):
@@ -293,11 +299,9 @@ class Expansion:
                 raise ValueError("expansion requires a positive value")
             self.alpha: Surd | None = source
             self.stream: DigitStream | None = None
-            self._tails: list[Surd] | None = [source]
         elif isinstance(source, DigitStream):
             self.alpha = None
             self.stream = source
-            self._tails = None
         else:
             raise TypeError(f"cannot expand {source!r}")
 
@@ -313,22 +317,39 @@ class Expansion:
         while len(self._digits) < n:
             if self._boundary is not None:
                 raise Terminated(self._boundary, len(self._digits))
-            if self.stream is not None:
-                try:
+            try:
+                if self.stream is not None:
                     d = self.stream.digit(len(self._digits) + 1)
-                except Terminated as exc:
-                    self._boundary = exc.boundary
-                    continue
-            else:
-                assert self._tails is not None
-                try:
-                    d, tail = next_digit(self._tails[-1])
-                except Terminated as exc:
-                    self._boundary = exc.boundary
-                    continue
-                self._tails.append(tail)
+                    g = self._mats[-1] * DIGIT_MATRICES[d]
+                else:
+                    d, g = self._surd_step(self._mats[-1])
+            except Terminated as exc:
+                self._boundary = exc.boundary
+                continue
             self._digits.append(d)
-            self._mats.append(self._mats[-1] * DIGIT_MATRICES[d])
+            self._mats.append(g)
+
+    def _surd_step(self, g: Mat2) -> tuple[int, Mat2]:
+        """The digit after G = G_n and G·A_d, from at most two signs: α_n
+        against 1/√2 is α(u + w√2) against t + v√2, and α_n against √2 is
+        α(u√2 + w) against t√2 + v.  A tie is a boundary, as in next_digit.
+        The compared pairs are the columns of G·A_d, which is built from
+        them."""
+        assert self.alpha is not None
+        t, v, u, w = g.t, g.v, g.u, g.w
+        low_d, low_c = t + v.times_sqrt2(), u + w.times_sqrt2()
+        low = self.alpha.linear_sign(low_c, low_d)
+        if low == 0:
+            raise Terminated("inv_sqrt2")
+        if low < 0:
+            return 1, Mat2(low_d, v, low_c, w)
+        high_d, high_c = t.times_sqrt2() + v, u.times_sqrt2() + w
+        high = self.alpha.linear_sign(high_c, high_d)
+        if high == 0:
+            raise Terminated("sqrt2")
+        if high < 0:
+            return 2, Mat2(high_d, low_d, high_c, low_c)
+        return 3, Mat2(t, high_d, u, high_c)
 
     def digit(self, n: int) -> int:
         self._extend(n)
@@ -343,20 +364,20 @@ class Expansion:
         return self._mats[n]
 
     def state(self, n: int) -> ConvergentState:
-        return ConvergentState(n, self.matrix(n), self.tail(n))
+        return ConvergentState(n, self.matrix(n), self.alpha)
 
     def tail(self, n: int) -> Surd | None:
-        if self._tails is None:
-            return None
-        self._extend(n)
-        return self._tails[n]
+        """The exact tail α_n = G_n⁻¹·α, built on each call; None on stream
+        backends."""
+        return self.state(n).tail
 
     def tail_cmp_one(self, n: int) -> int:
-        """Exact sign of α_n − 1, combinatorial on stream backends: digit
-        maps are increasing, so the first non-2 digit after n decides."""
-        if self._tails is not None:
-            self._extend(n)
-            return self._tails[n].cmp(1)
+        """Exact sign of α_n − 1: α(u + w) against t + v on surd backends,
+        combinatorial on stream backends: digit maps are increasing, so the
+        first non-2 digit after n decides."""
+        if self.alpha is not None:
+            g = self.matrix(n)
+            return self.alpha.linear_sign(g.u + g.w, g.t + g.v)
         assert self.stream is not None
         k = self.stream.next_non_two(n, self.cap)
         if k is None:
@@ -364,7 +385,9 @@ class Expansion:
         return 1 if self.stream.digit(k) == 3 else -1
 
     def star_cmp_one(self, n: int) -> int:
-        return self.state(n).star_cmp_one()
+        """Sign of α*_n − 1 = w_n/u_n − 1; u_n = 0 counts as ∞ > 1."""
+        g = self.matrix(n)
+        return (g.w - g.u).sign()
 
     def leading_threes(self) -> int:
         m = 0
@@ -377,15 +400,13 @@ class Expansion:
     def tail_bounds(self, n: int, tol_digits: int = 30) -> tuple[QRt2, QRt2]:
         """Exact rational-in-Q(√2) enclosure of α_n from a lookahead window.
 
-        Surd backends answer exactly; stream backends nest the interval
-        G-window image of (0, ∞) until its width is below 10^-tol_digits.
+        Surd backends in Q(√2) answer exactly; other backends nest the
+        interval G-window image of (0, ∞) until its width is below
+        10^-tol_digits.
         """
-        if self._tails is not None:
-            self._extend(n)
-            t = self._tails[n]
-            if t.is_degenerate():
-                q = t.as_qrt2()
-                return q, q
+        if self.alpha is not None and self.alpha.is_degenerate():
+            q = self.tail(n).as_qrt2()
+            return q, q
         tol = QRt2(ONE, 10**tol_digits)
         w = Mat2.identity()
         k = n
@@ -403,8 +424,9 @@ class Expansion:
 
 
 def convergents(source: Source, n_max: int) -> list[ConvergentState]:
-    """G_1..G_{n_max} with exact tails where available; Terminated when the
-    expansion of a √2-rational ends before n_max."""
+    """G_1..G_{n_max}, whose states give exact tails on demand where
+    available; Terminated when the expansion of a √2-rational ends before
+    n_max."""
     exp = Expansion(source)
     return [exp.state(i) for i in range(1, n_max + 1)]
 
@@ -414,21 +436,21 @@ def detect_period(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> DigitStream:
     the eventually periodic stream when an exact tail repeats within cap,
     CapExceeded otherwise.
 
+    Every tail is needed here, so the digits come from the next_digit chain.
     States are compared by exact canonical surd equality, so a reported
     period is never spurious.
     """
     if alpha.sign() <= 0:
         raise ValueError("period detection requires a positive value")
-    exp = Expansion(alpha)
     seen: dict[tuple[int, ...], int] = {alpha.key(): 0}
     digits: list[int] = []
+    tail = alpha
     for i in range(1, cap + 1):
         try:
-            digits.append(exp.digit(i))
+            d, tail = next_digit(tail)
         except Terminated as exc:
             return FiniteWord(tuple(digits), exc.boundary)
-        tail = exp.tail(i)
-        assert tail is not None
+        digits.append(d)
         key = tail.key()
         if key in seen:
             start = seen[key]

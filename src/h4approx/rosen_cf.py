@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 from .exact_field import ONE, SQRT2, ZERO, Surd, ZRt2
 from .hecke_group import H4Fraction, J, Mat2, canonicalize_pair
-from .h4_expansion import SQRT2_SURD, CapExceeded, Expansion, Source
+from .h4_expansion import DEFAULT_SCAN_CAP, SQRT2_SURD, CapExceeded, Expansion, Source
 
 
 class DomainError(ValueError):
@@ -97,35 +97,42 @@ def _dual_window(x: Surd) -> int:
 
 
 def _gauss_map(
-    alpha: Surd, n_terms: int, kind: str, window: Callable[[Surd], int], lower: int | ZRt2
+    alpha: Surd,
+    n_terms: int,
+    kind: str,
+    window: Callable[[Surd], int],
+    lower: int | ZRt2,
+    cap: int,
 ) -> CFExpansion:
     """Exact iteration of f(x) = 1/|x − a√2| with a taken from the window;
-    every iterate after the first exceeds `lower`."""
+    every iterate after the first exceeds `lower`.  Raises CapExceeded
+    when the terms need more than `cap` iterations."""
     if alpha.is_sqrt2_rational():
         raise DomainError("value lies in √2·Q")
     a0 = a = window(alpha)
     x = alpha
     terms: list[RosenDigit] = []
-    while True:
+    while len(terms) < n_terms:
+        if len(terms) >= cap:
+            raise CapExceeded(f"Gauss map stopped at its cap of {cap} iterations")
         x = x - ZRt2(0, a)
         eps = x.sign()
         x = ONE / abs(x)
-        if len(terms) >= n_terms:
-            return CFExpansion(kind, a0, tuple(terms))
         assert x.cmp(lower) > 0
         a = window(x)
         terms.append(RosenDigit(eps, a))
+    return CFExpansion(kind, a0, tuple(terms))
 
 
-def rosen_digits(alpha: Surd, n_terms: int) -> CFExpansion:
+def rosen_digits(alpha: Surd, n_terms: int, cap: int = DEFAULT_SCAN_CAP) -> CFExpansion:
     """Rosen expansion by exact iteration of f(x) = 1/|x − a√2| on the
     nearest-√2-multiple window."""
-    return _gauss_map(alpha, n_terms, "rosen", _rosen_window, SQRT2)
+    return _gauss_map(alpha, n_terms, "rosen", _rosen_window, SQRT2, cap)
 
 
-def dual_rosen_digits(alpha: Surd, n_terms: int) -> CFExpansion:
+def dual_rosen_digits(alpha: Surd, n_terms: int, cap: int = DEFAULT_SCAN_CAP) -> CFExpansion:
     """Dual expansion: window (ã−1)√2 + 1 ≤ x < ã√2 + 1, closed left end."""
-    return _gauss_map(alpha, n_terms, "dual-rosen", _dual_window, 1)
+    return _gauss_map(alpha, n_terms, "dual-rosen", _dual_window, 1, cap)
 
 
 def rosen_flip(exp: Expansion, n: int) -> bool:

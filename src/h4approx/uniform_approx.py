@@ -79,20 +79,22 @@ def uniform_sequence(source: Source | Expansion, count: int) -> list[UniformReco
     """First `count` records.  For exact inputs each value is computed both
     by case expression and directly from the fractions, asserted equal, and
     asserted to lie strictly in (1/2, (√2+1)/2)."""
+    if count < 0:
+        raise ValueError(f"record count must not be negative, got {count}")
     exp = source if isinstance(source, Expansion) else Expansion(source)
     best = best_approximations(exp, max_count=count + 1)
     out: list[UniformRecord] = []
     for i, (cur, nxt) in enumerate(zip(best, best[1:]), start=1):
         case, nside, nn = successor_case(exp, cur.side, cur.n_last)
-        st = exp.state(nn)
-        expected = st.tu_fraction() if nside == "tu" else st.vw_fraction()
+        succ = exp.state(nn)
+        expected = succ.tu_fraction() if nside == "tu" else succ.vw_fraction()
         assert expected == nxt.frac, "successor table disagrees with enumeration"
         n = cur.n_last
-        an = exp.tail(n)
-        if an is not None:
-            star = exp.state(n).alpha_star()
+        st = exp.state(n)
+        if exp.alpha is not None:
+            star = st.alpha_star()
             assert star is not None
-            value = case_value(case, an, star)
+            value = case_value(case, st.tail, star)
             assert cur.err is not None
             direct = cur.err * nxt.frac.q
             assert value.cmp(direct) == 0, "case expression must match direct product"
@@ -100,7 +102,7 @@ def uniform_sequence(source: Source | Expansion, count: int) -> list[UniformReco
             out.append(UniformRecord(i, case, n, value))
         else:
             lo, hi = exp.tail_bounds(n, tol_digits=12)
-            star_q = QRt2.from_ratio(exp.state(n).w, exp.state(n).u)
+            star_q = QRt2.from_ratio(st.w, st.u)
             v1 = case_value(case, lo, star_q)
             v2 = case_value(case, hi, star_q)
             if case in _CASE_DECREASING_IN_TAIL:
@@ -198,6 +200,8 @@ def k_exact(alpha: Surd, cap: int = 10_000) -> KResult:
 
 def k_numeric(source: Source | Expansion, records: int = 1000, window: int = 200) -> KResult:
     """Windowed sup of the record values: an uncertified limsup estimate."""
+    if records < 1:
+        raise ValueError(f"need at least one record, got {records}")
     seq = uniform_sequence(source, records)
     tail = seq[-window:] if window < len(seq) else seq
     return KResult("numeric-limsup", False, None, max(r.midpoint() for r in tail), records=tuple(seq))
@@ -229,6 +233,8 @@ def dirichlet_witness(alpha: Surd, n_bound: int) -> DirichletWitness:
 
 def dirichlet_sweep(alpha: Surd, n_max: int) -> list[DirichletWitness]:
     """Witnesses for every integer threshold 1..n_max, verified exactly."""
+    if n_max < 1:
+        raise ValueError("threshold must be at least 1")
     best = best_approximations(alpha, max_q=n_max)
     out: list[DirichletWitness] = []
     idx = 0

@@ -29,6 +29,11 @@ def frac(m: int, n: int):
 
 
 class TestSurd17Example:
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="at least 1"):
+            best_approximations(SURD17, max_count=count)
+
     def test_first_four(self):
         best = best_approximations(SURD17, max_count=4)
         assert [str(b.frac) for b in best] == ["2√2/1", "7/2√2", "16√2/9", "57/16√2"]

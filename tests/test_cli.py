@@ -225,3 +225,42 @@ class TestGlobalFlagPlacement:
         seed1 = capsys.readouterr().out
         run(["--seed", "8", "corpus", "--size", "1", "--seed", "1"])
         assert capsys.readouterr().out == seed1
+
+
+class TestCountsAndBudgets:
+    """Negative counts are bad input (exit 2); rosen and dual-rosen stop at
+    the iteration budget (exit 3)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "expand --alpha one --digits -2",
+            "period --alpha surd17 --digits -1",
+            "rosen --alpha surd17 --digits -1",
+            "dual-rosen --alpha surd17 --digits -1",
+            "best --alpha surd17 --count -3",
+            "oracle --alpha surd17 --max-q -5",
+            "k --alpha surd17 --numeric --records -4",
+            "dirichlet --alpha surd17 --n-max -1",
+            "optimality --stream A --i-max -1",
+            "corpus --size -2",
+        ],
+    )
+    def test_negative_count_is_validation_error(self, argv, capsys):
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert "must not be negative" in captured.err and captured.out == ""
+
+    def test_zero_best_count_is_validation_error(self, capsys):
+        assert run(["best", "--alpha", "surd17", "--count", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rosen", "dual-rosen"])
+    def test_gauss_map_respects_cap(self, command, capsys):
+        argv = [command, "--alpha", "surd17", "--digits", "12"]
+        assert run([*argv, "--cap-iterations", "11"]) == 3
+        assert "cap exceeded" in capsys.readouterr().err
+        assert run([*argv, "--cap-iterations", "12"]) == 0
+        capped = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == capped

@@ -208,6 +208,39 @@ class TestSurdCompare:
             assert c == -1
 
 
+_SMALL = st.integers(-6, 6)
+_ZRT2 = st.builds(ZRt2, _SMALL, _SMALL)
+
+
+@st.composite
+def _surds(draw) -> Surd:
+    P, Q, D, S = (draw(_ZRT2) for _ in range(4))
+    try:
+        return Surd(P, Q, D, S)
+    except ValueError:
+        return Surd(P, Q, ZRt2(abs(D.a) + 2, 0), ONE)
+
+
+class TestLinearSign:
+    """Surd.linear_sign(c, d) = sign(α·c − d), decided without building a
+    surd, against the sign of the normalized surd α·c − d."""
+
+    @given(_surds(), _ZRT2, _ZRT2)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_built_difference(self, alpha, c, d):
+        assert alpha.linear_sign(c, d) == (alpha * c - d).sign()
+
+    @given(_ZRT2, _ZRT2.filter(lambda q: not q.is_zero()), _ZRT2)
+    @settings(deadline=None)
+    def test_exact_tie_on_degenerate_value(self, p, q, k):
+        # α = p/q lies in Q(√2); with c = q·k, α·c = p·k = d exactly.
+        alpha = Surd.from_ratio(p, q)
+        c, d = q * k, p * k
+        assert alpha.linear_sign(c, d) == 0 == (alpha * c - d).sign()
+        assert alpha.linear_sign(c, d + 1) == -1
+        assert alpha.linear_sign(c, d - 1) == 1
+
+
 def _mat(t, v, u, w):
     return SimpleNamespace(t=ZRt2.of(t), v=ZRt2.of(v), u=ZRt2.of(u), w=ZRt2.of(w))
 

@@ -260,6 +260,78 @@ class TestCompareTail:
             assert tail.cmp(Surd.of(lo)) > 0 and tail.cmp(Surd.of(hi)) < 0
 
 
+def _chain(alpha: Surd, n_max: int):
+    """The next_digit route: (digit, exact tail) for n = 1.. until n_max or
+    the boundary, and the boundary reached (None when none was)."""
+    steps, x = [], alpha
+    try:
+        while len(steps) < n_max:
+            d, x = next_digit(x)
+            steps.append((d, x))
+    except Terminated as exc:
+        return steps, exc.boundary
+    return steps, None
+
+
+class TestPredicateEngine:
+    """The surd backend decides digits and tail signs by α.linear_sign on
+    G_n alone; the next_digit chain of exact tails is the independent
+    route it must agree with."""
+
+    def test_agrees_with_next_digit_chain_on_corpus(self):
+        from h4approx.cli import make_corpus
+
+        for alpha in make_corpus(seed=1, size=20, coeff_bound=5):
+            steps, boundary = _chain(alpha, 200)
+            assert boundary is None
+            exp = Expansion(alpha)
+            assert exp.word(200) == tuple(d for d, _ in steps)
+            for n, (_, tail) in enumerate(steps, start=1):
+                assert exp.tail(n).key() == tail.key()
+                assert exp.tail_cmp_one(n) == tail.cmp(1) == tail.cmp(Surd.of(1))
+
+    def test_sqrt2_rationals_terminate_like_the_chain(self):
+        seen = set()
+        for a in range(1, 10):
+            for b in range(1, 10):
+                for alpha in (
+                    Surd.from_ratio(ZRt2(0, a), ZRt2(b, 0)),  # a√2/b
+                    Surd.from_ratio(ZRt2(a, 0), ZRt2(0, b)),  # a/(b√2)
+                ):
+                    steps, boundary = _chain(alpha, 10_000)
+                    assert boundary is not None
+                    exp = Expansion(alpha)
+                    with pytest.raises(Terminated) as info:
+                        exp.word(len(steps) + 1)
+                    assert info.value.boundary == boundary
+                    assert exp.terminated_length == info.value.length == len(steps)
+                    assert exp.word(len(steps)) == tuple(d for d, _ in steps)
+                    seen.add(boundary)
+        assert seen == {"inv_sqrt2", "sqrt2"}
+
+    def test_digits_and_sign_queries_build_no_surd(self, monkeypatch):
+        from h4approx.cli import make_corpus
+
+        alpha = make_corpus(1, 5, 5)[3]
+        built = []
+        normalize = Surd.__post_init__
+
+        def counting(self):
+            built.append(1)
+            normalize(self)
+
+        monkeypatch.setattr(Surd, "__post_init__", counting)
+        Surd.of(1)
+        assert len(built) == 1, "the counter must see surd construction"
+        built.clear()
+        exp = Expansion(alpha)
+        exp.word(500)
+        for n in range(1, 501):
+            exp.tail_cmp_one(n)
+            exp.star_cmp_one(n)
+        assert len(built) == 0
+
+
 class TestNormalize:
     def test_negative_one(self):
         norm = normalize_alpha(Surd.of(-1))

@@ -54,6 +54,14 @@ def random_periodic_surd(word: list[int]) -> Surd | None:
     return x
 
 
+class TestGaussMapCap:
+    @pytest.mark.parametrize("digits", [rosen_digits, dual_rosen_digits])
+    def test_stops_at_cap(self, digits):
+        with pytest.raises(CapExceeded):
+            digits(SURD17, 6, cap=5)
+        assert digits(SURD17, 6, cap=6) == digits(SURD17, 6)
+
+
 class TestRosenDigits:
     def test_alpha_one(self):
         cf = rosen_digits(Surd.of(1), 4)

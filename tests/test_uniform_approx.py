@@ -27,6 +27,15 @@ EXACT_UPPER = Surd.from_ratio(ZRt2(1, 1), ZRt2(2, 0))
 
 
 class TestUniformSequence:
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            uniform_sequence(SURD17, -1)
+        assert uniform_sequence(SURD17, 0) == []
+
+    def test_k_numeric_needs_a_record(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            k_numeric(SURD17, records=0)
+
     def test_alpha_one_records_increase_to_limit(self):
         seq = uniform_sequence(Surd.of(1), 12)
         assert all(r.case == "b2" for r in seq)
@@ -114,6 +123,12 @@ class TestDirichlet:
         assert str(wit.frac) == "√2/1"
         # |1·1 − √2| ≈ 0.414 < (√2+1)/2 ≈ 1.207
         assert wit.verify()
+
+    def test_thresholds_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            dirichlet_sweep(SURD17, 0)
+        with pytest.raises(ValueError, match="at least 1"):
+            dirichlet_witness(SURD17, 0)
 
     def test_sweep_exact(self):
         wits = dirichlet_sweep(SURD17, 60)

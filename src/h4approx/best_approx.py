@@ -97,15 +97,16 @@ def best_approximations(
     tu_start = vw_start = m + 1
     for n in range(m + 1, cap + 1):
         g = exp.matrix(n)
+        tail = exp.tail_cmp_one(n)  # the one exact predicate of this index
         rosen_set.add(_inf_fraction(select_M(exp, n)))
-        dual_set.add(_inf_fraction(select_N(exp, n)))
+        dual_set.add(_inf_fraction(select_N(exp, n, tail)))
         d_next = exp.digit(n + 1)
         if d_next != 3:
-            if exp.tail_cmp_one(n) > 0 or exp.star_cmp_one(n) > 0:
+            if tail > 0 or exp.star_cmp_one(n) > 0:
                 emissions.append(("tu", tu_start, n, _inf_fraction(g)))
             tu_start = n + 1
         if d_next != 1:
-            if exp.tail_cmp_one(n) < 0 or exp.star_cmp_one(n) < 0:
+            if tail < 0 or exp.star_cmp_one(n) < 0:
                 emissions.append(("vw", vw_start, n, canonicalize_pair(g.v, g.w)))
             vw_start = n + 1
         low = g.u if (g.u - g.w).sign() < 0 else g.w
@@ -205,9 +206,13 @@ def successor_case(exp: Expansion, side: str, n: int) -> tuple[str, str, int]:
     return case, nside, n + off
 
 
-def oracle_best_approximations(alpha: Surd, q_max: int | ZRt2) -> list[H4Fraction]:
+def oracle_best_approximations(
+    alpha: Surd, q_max: int | ZRt2, cap: int = DEFAULT_WALK_CAP
+) -> list[H4Fraction]:
     """Definitional scan: ascend the denominator ladder, keep every fraction
     whose error strictly beats everything at smaller or equal denominator.
+    Raises CapExceeded when the ladder up to q_max has more than `cap`
+    denominators.
 
     At each denominator only the nearest admissible numerator on each side
     can set a record; a tie inside one denominator would force the value
@@ -216,7 +221,9 @@ def oracle_best_approximations(alpha: Surd, q_max: int | ZRt2) -> list[H4Fractio
         raise ValueError("oracle requires a positive value outside √2·Q")
     records: list[H4Fraction] = []
     best_err: Surd | None = None
-    for q in denominator_ladder(q_max):
+    for scanned, q in enumerate(denominator_ladder(q_max), start=1):
+        if scanned > cap:
+            raise CapExceeded(f"oracle scan did not finish within {cap} denominators")
         lo, hi = numerators_near(alpha, q)
         err_lo = abs(alpha * q - lo)
         err_hi = abs(alpha * q - hi)
@@ -229,7 +236,7 @@ def oracle_best_approximations(alpha: Surd, q_max: int | ZRt2) -> list[H4Fractio
     return records
 
 
-def legendre_classify(alpha: Surd, frac: H4Fraction) -> str:
+def legendre_classify(alpha: Surd, frac: H4Fraction, cap: int = DEFAULT_WALK_CAP) -> str:
     """Three-way classification of a canonical fraction against alpha:
     within 1/(2q²) (sufficient), a best approximation anyway, or neither.
 
@@ -237,7 +244,7 @@ def legendre_classify(alpha: Surd, frac: H4Fraction) -> str:
     implies the 1/q² bound."""
     delta = abs(alpha - frac.value())
     q2 = frac.q_squared()
-    member = frac in {b.frac for b in best_approximations(alpha, max_q=frac.q)}
+    member = frac in {b.frac for b in best_approximations(alpha, max_q=frac.q, cap=cap)}
     if (delta * q2 * 2).cmp(1) < 0:
         assert member, "sufficient condition must imply membership"
         return BEST_BY_SUFFICIENT

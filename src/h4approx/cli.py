@@ -10,9 +10,10 @@ import argparse
 import json
 import random
 import sys
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
-from .exact_field import MixedRadicands, Surd, ZRt2
+from .exact_field import MixedRadicands, QRt2, Surd, ZRt2
 from .hecke_group import H4Fraction, NotInQH4, canonicalize_pair
 from .h4_expansion import (
     CapExceeded,
@@ -25,7 +26,7 @@ from .h4_expansion import (
     Undecidable,
     detect_period,
 )
-from .rosen_cf import CFExpansion, DomainError, dual_rosen_digits, rosen_digits
+from .rosen_cf import DomainError, dual_rosen_digits, rosen_digits
 from .best_approx import best_approximations, legendre_classify, oracle_best_approximations
 from .uniform_approx import (
     NonPeriodicInput,
@@ -143,10 +144,32 @@ def make_corpus(seed: int, size: int, coeff_bound: int) -> list[Surd]:
     return out
 
 
+def dec(x: Surd | QRt2, digits: int = DECIMAL_DIGITS) -> str:
+    """The advisory decimal of an exact value."""
+    return x.decimal(digits)
+
+
 def frac_payload(frac: H4Fraction) -> dict:
-    obj = frac.to_json()
-    obj["decimal"] = frac.value().decimal(DECIMAL_DIGITS)
-    return obj
+    return {**frac.to_json(), "decimal": dec(frac.value())}
+
+
+def frac_text(frac: H4Fraction) -> str:
+    return f"{frac} = {dec(frac.value())}"
+
+
+PQ_HEADER = ["p_a", "p_b", "q_a", "q_b"]
+K_HEADER = ["i", "value_decimal", "case", "exact_num", "exact_den"]
+
+
+def pq(frac: H4Fraction) -> list[int]:
+    """The PQ_HEADER columns of a fraction."""
+    return [*frac.p.pair(), *frac.q.pair()]
+
+
+def k_row(i: int, case: str, x: Surd) -> list:
+    """A K_HEADER row of an exact value: its decimal and its surd as
+    numerator P + Q·sqrt(D) over denominator S."""
+    return [i, dec(x), case, f"{x.P.pair()}+{x.Q.pair()}*sqrt{x.D.pair()}", f"{x.S.pair()}"]
 
 
 def _parse_pair(text: str, what: str) -> ZRt2:
@@ -157,30 +180,26 @@ def _parse_pair(text: str, what: str) -> ZRt2:
     return ZRt2(a, b)
 
 
+@dataclass(frozen=True)
 class Output:
-    def __init__(self) -> None:
-        self.payload: dict = {}
-        self.text: list[str] = []
-        self.csv_header: list[str] = []
-        self.csv_rows: list[list] = []
+    """A command's result, computed once, seen through three zero-argument
+    views: the JSON payload, the text lines, and the CSV table with its
+    header as the first row.  Only the requested view is ever built."""
+
+    payload: Callable[[], dict]
+    text: Callable[[], list[str]]
+    table: Callable[[], list[Sequence]]
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.payload, sort_keys=True)
+            return json.dumps(self.payload(), sort_keys=True)
         if fmt == "csv":
-            lines = [",".join(self.csv_header)]
-            lines += [",".join(str(c) for c in row) for row in self.csv_rows]
-            return "\n".join(lines)
-        return "\n".join(self.text)
+            return "\n".join(",".join(str(c) for c in row) for row in self.table())
+        return "\n".join(self.text())
 
 
 def cmd_expand(args, cap: int) -> Output:
-    if getattr(args, "stream", None):
-        alpha: Surd | DigitStream = STREAM_RULES[args.stream]()
-    else:
-        alpha = parse_alpha(args.alpha)
-    out = Output()
-    exp = Expansion(alpha)
+    exp = Expansion(parse_alpha(f"stream:{args.stream}" if args.stream else args.alpha))
     digits: list[int] = []
     boundary = None
     for n in range(1, args.digits + 1):
@@ -189,138 +208,93 @@ def cmd_expand(args, cap: int) -> Output:
         except Terminated as exc:
             boundary = exc.boundary
             break
-    out.payload = {"digits": digits, "terminated": boundary is not None}
-    out.text = [" ".join(str(d) for d in digits)]
-    if boundary is not None:
-        out.payload["boundary"] = boundary
-        word = FiniteWord(tuple(digits), boundary)
-        lo, hi = word.completions()
-        out.payload["completions"] = [
-            {"preperiod": list(s.preperiod), "period": list(s.period)} for s in (lo, hi)
-        ]
-        out.text.append(f"terminated at {boundary}")
-        out.text.append(
-            f"completions: {list(lo.preperiod)}+{list(lo.period)}^inf"
-            f" | {list(hi.preperiod)}+{list(hi.period)}^inf"
-        )
-    out.csv_header = ["n", "digit"]
-    out.csv_rows = [[i + 1, d] for i, d in enumerate(digits)]
-    return out
+    ends = FiniteWord(tuple(digits), boundary).completions() if boundary is not None else ()
+
+    def payload() -> dict:
+        obj: dict = {"digits": digits, "terminated": boundary is not None}
+        if ends:
+            obj["boundary"] = boundary
+            obj["completions"] = [{"preperiod": list(s.preperiod), "period": list(s.period)}
+                                  for s in ends]
+        return obj
+
+    def text() -> list[str]:
+        lines = [" ".join(str(d) for d in digits)]
+        if ends:
+            lines.append(f"terminated at {boundary}")
+            lines.append("completions: " + " | ".join(
+                f"{list(s.preperiod)}+{list(s.period)}^inf" for s in ends))
+        return lines
+
+    return Output(payload, text, lambda: [["n", "digit"], *enumerate(digits, start=1)])
 
 
 def cmd_period(args, cap: int) -> Output:
     alpha = require_surd(parse_alpha(args.alpha), "period detection")
-    stream = detect_period(alpha, cap=min(cap, args.digits if args.digits else cap))
-    out = Output()
+    stream = detect_period(alpha, cap=min(cap, args.digits or cap))
     if isinstance(stream, PeriodicStream):
-        out.payload = {
-            "kind": "eventually-periodic",
-            "preperiod": list(stream.preperiod),
-            "period": list(stream.period),
-        }
-        out.text = [f"preperiod {list(stream.preperiod)} period {list(stream.period)}"]
+        pre, digits = list(stream.preperiod), list(stream.period)
+        record = {"kind": "eventually-periodic", "preperiod": pre, "period": digits}
+        line = f"preperiod {pre} period {digits}"
     else:
         assert isinstance(stream, FiniteWord)
-        out.payload = {
-            "kind": "finite",
-            "digits": list(stream.digits),
-            "boundary": stream.boundary,
-        }
-        out.text = [f"finite {list(stream.digits)} at {stream.boundary}"]
-    out.csv_header = ["kind", "digits"]
-    out.csv_rows = [[out.payload["kind"], " ".join(map(str, out.payload.get("period", out.payload.get("digits", []))))]]
-    return out
+        digits = list(stream.digits)
+        record = {"kind": "finite", "digits": digits, "boundary": stream.boundary}
+        line = f"finite {digits} at {stream.boundary}"
+    row = [record["kind"], " ".join(map(str, digits))]
+    return Output(lambda: record, lambda: [line], lambda: [["kind", "digits"], row])
 
 
-def _cf_output(cf: CFExpansion) -> Output:
-    out = Output()
+def cmd_cf(args, cap: int) -> Output:
+    """rosen and dual-rosen: the digits and convergents of one Gauss map."""
+    expand = rosen_digits if args.command == "rosen" else dual_rosen_digits
+    cf = expand(require_surd(parse_alpha(args.alpha), args.command), args.digits, cap=cap)
     convs = cf.convergents()
-    out.payload = {
-        "kind": cf.kind,
-        "a0": cf.a0,
-        "terms": [[t.eps, t.a] for t in cf.terms],
-        "convergents": [
-            {"i": c.index, **frac_payload(c.frac)} for c in convs
-        ],
-    }
+    marks = [("", "")] + [(t.eps, t.a) for t in cf.terms]
     terms_txt = " ".join(f"{'+' if t.eps > 0 else '-'}1/{t.a}" for t in cf.terms)
-    out.text = [f"a0 = {cf.a0}; {terms_txt}"]
-    out.text += [f"r_{c.index}/s_{c.index} = {c.frac} = {c.frac.value().decimal(DECIMAL_DIGITS)}" for c in convs]
-    out.csv_header = ["i", "eps", "a", "p_a", "p_b", "q_a", "q_b"]
-    out.csv_rows = [
-        [c.index, "", "", *c.frac.p.pair(), *c.frac.q.pair()] for c in convs
-    ]
-    for row, t in zip(out.csv_rows[1:], cf.terms):
-        row[1], row[2] = t.eps, t.a
-    return out
-
-
-def cmd_rosen(args, cap: int) -> Output:
-    alpha = require_surd(parse_alpha(args.alpha), "rosen")
-    return _cf_output(rosen_digits(alpha, args.digits, cap=cap))
-
-
-def cmd_dual_rosen(args, cap: int) -> Output:
-    alpha = require_surd(parse_alpha(args.alpha), "dual-rosen")
-    return _cf_output(dual_rosen_digits(alpha, args.digits, cap=cap))
+    return Output(
+        lambda: {"kind": cf.kind, "a0": cf.a0, "terms": [[t.eps, t.a] for t in cf.terms],
+                 "convergents": [{"i": c.index, **frac_payload(c.frac)} for c in convs]},
+        lambda: [f"a0 = {cf.a0}; {terms_txt}"]
+        + [f"r_{c.index}/s_{c.index} = {frac_text(c.frac)}" for c in convs],
+        lambda: [["i", "eps", "a", *PQ_HEADER]]
+        + [[c.index, *mark, *pq(c.frac)] for c, mark in zip(convs, marks)],
+    )
 
 
 def cmd_best(args, cap: int) -> Output:
     alpha = parse_alpha(args.alpha)
     if args.max_q is None and args.count is None:
         raise ValidationError("need --max-q or --count")
-    best = best_approximations(
-        alpha,
-        max_q=args.max_q,
-        max_count=args.count,
-        cap=cap,
-    )
-    out = Output()
-    out.payload = {
-        "best": [
-            {
-                **frac_payload(b.frac),
-                "side": b.side,
-                "n_first": b.n_first,
-                "n_last": b.n_last,
-                "is_rosen_convergent": b.is_rosen,
-                "is_dual_convergent": b.is_dual,
-            }
+    best = best_approximations(alpha, max_q=args.max_q, max_count=args.count, cap=cap)
+    return Output(
+        lambda: {"best": [
+            {**frac_payload(b.frac), "side": b.side, "n_first": b.n_first, "n_last": b.n_last,
+             "is_rosen_convergent": b.is_rosen, "is_dual_convergent": b.is_dual}
             for b in best
-        ]
-    }
-    out.text = [
-        f"{b.frac} = {b.frac.value().decimal(DECIMAL_DIGITS)}"
-        f"  [{b.side} n={b.n_first}..{b.n_last}"
-        f"{' rosen' if b.is_rosen else ''}{' dual' if b.is_dual else ''}]"
-        for b in best
-    ]
-    out.csv_header = [
-        "i", "p_a", "p_b", "q_a", "q_b", "family", "side",
-        "n_first", "n_last", "is_rosen", "is_dual", "decimal",
-    ]
-    out.csv_rows = [
-        [
-            i + 1, *b.frac.p.pair(), *b.frac.q.pair(), b.frac.family, b.side,
-            b.n_first, b.n_last, int(b.is_rosen), int(b.is_dual),
-            b.frac.value().decimal(DECIMAL_DIGITS),
-        ]
-        for i, b in enumerate(best)
-    ]
-    return out
+        ]},
+        lambda: [
+            f"{frac_text(b.frac)}  [{b.side} n={b.n_first}..{b.n_last}"
+            f"{' rosen' if b.is_rosen else ''}{' dual' if b.is_dual else ''}]"
+            for b in best
+        ],
+        lambda: [["i", *PQ_HEADER, "family", "side", "n_first", "n_last", "is_rosen", "is_dual",
+                  "decimal"]]
+        + [[i, *pq(b.frac), b.frac.family, b.side, b.n_first, b.n_last,
+            int(b.is_rosen), int(b.is_dual), dec(b.frac.value())]
+           for i, b in enumerate(best, start=1)],
+    )
 
 
 def cmd_oracle(args, cap: int) -> Output:
     alpha = require_surd(parse_alpha(args.alpha), "oracle")
-    fracs = oracle_best_approximations(alpha, args.max_q)
-    out = Output()
-    out.payload = {"best": [frac_payload(f) for f in fracs]}
-    out.text = [f"{f} = {f.value().decimal(DECIMAL_DIGITS)}" for f in fracs]
-    out.csv_header = ["i", "p_a", "p_b", "q_a", "q_b", "family"]
-    out.csv_rows = [
-        [i + 1, *f.p.pair(), *f.q.pair(), f.family] for i, f in enumerate(fracs)
-    ]
-    return out
+    fracs = oracle_best_approximations(alpha, args.max_q, cap=cap)
+    return Output(
+        lambda: {"best": [frac_payload(f) for f in fracs]},
+        lambda: [frac_text(f) for f in fracs],
+        lambda: [["i", *PQ_HEADER, "family"]]
+        + [[i, *pq(f), f.family] for i, f in enumerate(fracs, start=1)],
+    )
 
 
 def cmd_legendre(args, cap: int) -> Output:
@@ -331,160 +305,98 @@ def cmd_legendre(args, cap: int) -> Output:
         frac = canonicalize_pair(p, q)
     except NotInQH4 as exc:
         raise ValidationError(str(exc)) from None
-    verdict = legendre_classify(alpha, frac)
+    verdict = legendre_classify(alpha, frac, cap=cap)
     delta = abs(alpha - frac.value())
-    out = Output()
-    out.payload = {
-        "fraction": frac_payload(frac),
-        "classification": verdict,
-        "distance_decimal": delta.decimal(DECIMAL_DIGITS),
-    }
-    out.text = [f"{frac}: {verdict} (|alpha - p/q| = {delta.decimal(DECIMAL_DIGITS)})"]
-    out.csv_header = ["p_a", "p_b", "q_a", "q_b", "classification"]
-    out.csv_rows = [[*frac.p.pair(), *frac.q.pair(), verdict]]
-    return out
+    return Output(
+        lambda: {"fraction": frac_payload(frac), "classification": verdict,
+                 "distance_decimal": dec(delta)},
+        lambda: [f"{frac}: {verdict} (|alpha - p/q| = {dec(delta)})"],
+        lambda: [[*PQ_HEADER, "classification"], [*pq(frac), verdict]],
+    )
 
 
 def cmd_k(args, cap: int) -> Output:
     alpha = parse_alpha(args.alpha)
-    out = Output()
     if args.numeric:
         res = k_numeric(alpha, records=args.records, window=args.window)
-        out.payload = {
-            "method": res.method,
-            "certified": res.certified,
-            "estimate": res.estimate,
-            "window": args.window,
-            "records": args.records,
-        }
-        out.text = [f"K ~= {res.estimate!r} (windowed sup, not certified)"]
-        out.csv_header = ["i", "value_decimal", "case", "exact_num", "exact_den"]
-        for r in res.records:
-            if r.value is not None:
-                out.csv_rows.append(
-                    [r.i, r.value.decimal(DECIMAL_DIGITS), r.case,
-                     f"{r.value.P.pair()}+{r.value.Q.pair()}*sqrt{r.value.D.pair()}",
-                     f"{r.value.S.pair()}"]
-                )
-            else:
-                out.csv_rows.append([r.i, repr(r.midpoint()), r.case, "", ""])
-    else:
-        value = require_surd(alpha, "k --exact")
-        res = k_exact(value, cap=cap)
-        assert res.value is not None
-        out.payload = {
-            "method": res.method,
-            "certified": res.certified,
-            "value": surd_to_json(res.value),
-            "decimal": res.value.decimal(DECIMAL_DIGITS),
-            "phases": [
-                {
-                    "phase": ph.phase,
-                    "side": ph.side,
-                    "case": ph.case,
-                    "decimal": ph.value.decimal(DECIMAL_DIGITS),
-                }
-                for ph in res.phases
+        return Output(
+            lambda: {"method": res.method, "certified": res.certified, "estimate": res.estimate,
+                     "window": args.window, "records": args.records},
+            lambda: [f"K ~= {res.estimate!r} (windowed sup, not certified)"],
+            lambda: [K_HEADER] + [
+                k_row(r.i, r.case, r.value) if r.value is not None
+                else [r.i, repr(r.midpoint()), r.case, "", ""]
+                for r in res.records
             ],
-        }
-        out.text = [
-            f"K = {json.dumps(surd_to_json(res.value), sort_keys=True)}",
-            f"  = {res.value.decimal(DECIMAL_DIGITS)}",
-        ]
-        out.csv_header = ["i", "value_decimal", "case", "exact_num", "exact_den"]
-        out.csv_rows = [
-            [ph.phase, ph.value.decimal(DECIMAL_DIGITS), ph.case,
-             f"{ph.value.P.pair()}+{ph.value.Q.pair()}*sqrt{ph.value.D.pair()}",
-             f"{ph.value.S.pair()}"]
-            for ph in res.phases
-        ]
-    return out
+        )
+    res = k_exact(require_surd(alpha, "k --exact"), cap=cap)
+    value = res.value
+    assert value is not None
+    return Output(
+        lambda: {
+            "method": res.method, "certified": res.certified,
+            "value": surd_to_json(value), "decimal": dec(value),
+            "phases": [{"phase": ph.phase, "side": ph.side, "case": ph.case,
+                        "decimal": dec(ph.value)} for ph in res.phases],
+        },
+        lambda: [f"K = {json.dumps(surd_to_json(value), sort_keys=True)}", f"  = {dec(value)}"],
+        lambda: [K_HEADER] + [k_row(ph.phase, ph.case, ph.value) for ph in res.phases],
+    )
 
 
 def cmd_dirichlet(args, cap: int) -> Output:
     alpha = require_surd(parse_alpha(args.alpha), "dirichlet")
-    wits = dirichlet_sweep(alpha, args.n_max)
-    out = Output()
-    out.payload = {
-        "n_max": args.n_max,
-        "all_verified": all(w.verify() for w in wits),
-        "witnesses": [
-            {"N": w.n_bound, **frac_payload(w.frac), "err_decimal": w.err.decimal(DECIMAL_DIGITS)}
-            for w in wits
-        ],
-    }
-    out.text = [f"verified thresholds 1..{args.n_max}"]
-    out.text += [
-        f"N={w.n_bound}: {w.frac} err={w.err.decimal(12)}" for w in wits
-    ]
-    out.csv_header = ["N", "p_a", "p_b", "q_a", "q_b", "err_decimal"]
-    out.csv_rows = [
-        [w.n_bound, *w.frac.p.pair(), *w.frac.q.pair(), w.err.decimal(DECIMAL_DIGITS)]
-        for w in wits
-    ]
-    return out
+    wits = dirichlet_sweep(alpha, args.n_max, cap=cap)
+    return Output(
+        lambda: {"n_max": args.n_max, "all_verified": all(w.verify() for w in wits),
+                 "witnesses": [{"N": w.n_bound, **frac_payload(w.frac),
+                                "err_decimal": dec(w.err)} for w in wits]},
+        lambda: [f"verified thresholds 1..{args.n_max}"]
+        + [f"N={w.n_bound}: {w.frac} err={dec(w.err, 12)}" for w in wits],
+        lambda: [["N", *PQ_HEADER, "err_decimal"]]
+        + [[w.n_bound, *pq(w.frac), dec(w.err)] for w in wits],
+    )
+
+
+OPTIMALITY_COLUMNS = ["lo", "hi", "target", "distance"]
 
 
 def cmd_optimality(args, cap: int) -> Output:
     points = optimality_check(args.stream, i_max=args.i_max)
-    out = Output()
-    out.payload = {
-        "stream": args.stream,
-        "points": [
-            {
-                "i": p.i,
-                "n": p.n,
-                "lo_decimal": p.lo.decimal(DECIMAL_DIGITS),
-                "hi_decimal": p.hi.decimal(DECIMAL_DIGITS),
-                "target_decimal": p.target.decimal(DECIMAL_DIGITS),
-                "distance_decimal": p.max_distance().decimal(DECIMAL_DIGITS),
-            }
-            for p in points
+    # The OPTIMALITY_COLUMNS values of each point.
+    values = [(p.lo, p.hi, p.target, p.max_distance()) for p in points]
+    return Output(
+        lambda: {"stream": args.stream, "points": [
+            {"i": p.i, "n": p.n, **{f"{k}_decimal": dec(x) for k, x in zip(OPTIMALITY_COLUMNS, v)}}
+            for p, v in zip(points, values)
+        ]},
+        lambda: [
+            f"i={p.i} n={p.n} value~{dec(lo, 12)} target={dec(target, 12)} dist<={dec(dist, 6)}"
+            for p, (lo, _, target, dist) in zip(points, values)
         ],
-    }
-    out.text = [
-        f"i={p.i} n={p.n} value~{p.lo.decimal(12)} target={p.target.decimal(12)}"
-        f" dist<={p.max_distance().decimal(6)}"
-        for p in points
-    ]
-    out.csv_header = ["i", "n", "lo", "hi", "target", "distance"]
-    out.csv_rows = [
-        [p.i, p.n, p.lo.decimal(DECIMAL_DIGITS), p.hi.decimal(DECIMAL_DIGITS),
-         p.target.decimal(DECIMAL_DIGITS), p.max_distance().decimal(DECIMAL_DIGITS)]
-        for p in points
-    ]
-    return out
+        lambda: [["i", "n", *OPTIMALITY_COLUMNS]]
+        + [[p.i, p.n, *map(dec, v)] for p, v in zip(points, values)],
+    )
 
 
 def cmd_corpus(args, cap: int) -> Output:
     surds = make_corpus(args.seed, args.size, args.coeff_bound)
-    out = Output()
-    out.payload = {
-        "seed": args.seed,
-        "size": args.size,
-        "coeff_bound": args.coeff_bound,
-        "rng": CORPUS_RNG,
-        "corpus": [
-            {**surd_to_json(s), "decimal": s.decimal(DECIMAL_DIGITS)} for s in surds
-        ],
-    }
-    out.text = [
-        f"{json.dumps(surd_to_json(s), sort_keys=True)} = {s.decimal(DECIMAL_DIGITS)}"
-        for s in surds
-    ]
-    out.csv_header = ["i", "P_a", "P_b", "Q_a", "Q_b", "D_a", "D_b", "S_a", "S_b", "decimal"]
-    out.csv_rows = [
-        [i + 1, *s.P.pair(), *s.Q.pair(), *s.D.pair(), *s.S.pair(), s.decimal(DECIMAL_DIGITS)]
-        for i, s in enumerate(surds)
-    ]
-    return out
+    return Output(
+        lambda: {"seed": args.seed, "size": args.size, "coeff_bound": args.coeff_bound,
+                 "rng": CORPUS_RNG,
+                 "corpus": [{**surd_to_json(s), "decimal": dec(s)} for s in surds]},
+        lambda: [f"{json.dumps(surd_to_json(s), sort_keys=True)} = {dec(s)}" for s in surds],
+        lambda: [["i", "P_a", "P_b", "Q_a", "Q_b", "D_a", "D_b", "S_a", "S_b", "decimal"]]
+        + [[i, *s.P.pair(), *s.Q.pair(), *s.D.pair(), *s.S.pair(), dec(s)]
+           for i, s in enumerate(surds, start=1)],
+    )
 
 
 COMMANDS = {
     "expand": cmd_expand,
     "period": cmd_period,
-    "rosen": cmd_rosen,
-    "dual-rosen": cmd_dual_rosen,
+    "rosen": cmd_cf,
+    "dual-rosen": cmd_cf,
     "best": cmd_best,
     "oracle": cmd_oracle,
     "legendre": cmd_legendre,
@@ -616,7 +528,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         _check_counts(args)
         _resolve(args)
-        out = COMMANDS[args.command](args, args.cap_iterations)
+        rendered = COMMANDS[args.command](args, args.cap_iterations).render(args.format)
     except (ParseError, ValidationError, DomainError, NotInQH4, NonPeriodicInput,
             MixedRadicands, Terminated, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -624,7 +536,6 @@ def run(argv: Sequence[str]) -> int:
     except (CapExceeded, Undecidable) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    rendered = out.render(args.format)
     if rendered:
         print(rendered)
     return EXIT_OK

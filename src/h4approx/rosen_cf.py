@@ -142,9 +142,10 @@ def rosen_flip(exp: Expansion, n: int) -> bool:
     return star < 0
 
 
-def dual_flip(exp: Expansion, n: int) -> bool:
-    """σ̃_n: the tail α_n is below 1, ties broken by the reversal."""
-    t = exp.tail_cmp_one(n)
+def dual_flip(exp: Expansion, n: int, tail: int | None = None) -> bool:
+    """σ̃_n: the tail α_n is below 1, ties broken by the reversal.  `tail`
+    is sign(α_n − 1) when the caller already holds it."""
+    t = exp.tail_cmp_one(n) if tail is None else tail
     return t < 0 or (t == 0 and exp.star_cmp_one(n) < 0)
 
 
@@ -155,10 +156,11 @@ def select_M(exp: Expansion, n: int) -> Mat2:
     return g * J if rosen_flip(exp, n) else g
 
 
-def select_N(exp: Expansion, n: int) -> Mat2:
-    """G_n when the tail exceeds 1 (ties broken by the reversal), else G_n·J."""
+def select_N(exp: Expansion, n: int, tail: int | None = None) -> Mat2:
+    """G_n when the tail exceeds 1 (ties broken by the reversal), else G_n·J;
+    `tail` as in dual_flip."""
     g = exp.matrix(n)
-    return g * J if dual_flip(exp, n) else g
+    return g * J if dual_flip(exp, n, tail) else g
 
 
 def selector_fractions(exp: Expansion, kind: str, n_max: int) -> list[H4Fraction]:

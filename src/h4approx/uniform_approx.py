@@ -22,7 +22,12 @@ from .h4_expansion import (
     four_blocks_stream,
     three_powers_stream,
 )
-from .best_approx import best_approximations, classify_transition, successor_case
+from .best_approx import (
+    DEFAULT_WALK_CAP,
+    best_approximations,
+    classify_transition,
+    successor_case,
+)
 
 HALF = Surd.from_ratio(ONE, ZRt2(2, 0))
 UPPER = Surd.from_ratio(ZRt2(1, 1), ZRt2(2, 0))  # (√2+1)/2
@@ -231,11 +236,13 @@ def dirichlet_witness(alpha: Surd, n_bound: int) -> DirichletWitness:
     return wit
 
 
-def dirichlet_sweep(alpha: Surd, n_max: int) -> list[DirichletWitness]:
+def dirichlet_sweep(
+    alpha: Surd, n_max: int, cap: int = DEFAULT_WALK_CAP
+) -> list[DirichletWitness]:
     """Witnesses for every integer threshold 1..n_max, verified exactly."""
     if n_max < 1:
         raise ValueError("threshold must be at least 1")
-    best = best_approximations(alpha, max_q=n_max)
+    best = best_approximations(alpha, max_q=n_max, cap=cap)
     out: list[DirichletWitness] = []
     idx = 0
     for n in range(1, n_max + 1):

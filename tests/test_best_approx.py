@@ -180,3 +180,32 @@ class TestStreamBackend:
         best = best_approximations(four_blocks_stream(), max_count=6)
         for a, b in zip(best, best[1:]):
             assert a.q.cmp(b.q) < 0
+
+
+class TestOnePredicatePerIndex:
+    def test_tail_sign_asked_once_per_walk_step(self, monkeypatch):
+        """The walk reads sign(α_n − 1) once per index for σ̃_n and both
+        emission tests; only the common-witness checks of the returned
+        fractions may ask again."""
+        import h4approx.best_approx as ba
+        from h4approx.cli import make_corpus
+
+        class Counting(Expansion):
+            calls = 0
+
+            def tail_cmp_one(self, n: int) -> int:
+                Counting.calls += 1
+                return super().tail_cmp_one(n)
+
+        steps = 0
+        select_m = ba.select_M
+
+        def counted_select_m(exp, n):
+            nonlocal steps
+            steps += 1
+            return select_m(exp, n)
+
+        monkeypatch.setattr(ba, "select_M", counted_select_m)
+        best = best_approximations(Counting(make_corpus(1, 5, 5)[3]), max_count=1000)
+        assert len(best) == 1000
+        assert Counting.calls <= steps + len(best)

@@ -228,8 +228,8 @@ class TestGlobalFlagPlacement:
 
 
 class TestCountsAndBudgets:
-    """Negative counts are bad input (exit 2); rosen and dual-rosen stop at
-    the iteration budget (exit 3)."""
+    """Negative counts are bad input (exit 2); the Gauss map, the walk and
+    the oracle's ladder stop at the iteration budget (exit 3)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -261,6 +261,29 @@ class TestCountsAndBudgets:
         assert run([*argv, "--cap-iterations", "11"]) == 3
         assert "cap exceeded" in capsys.readouterr().err
         assert run([*argv, "--cap-iterations", "12"]) == 0
+        capped = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == capped
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "oracle --alpha surd17 --max-q 200 --cap-iterations 10",
+            "dirichlet --alpha surd17 --n-max 500 --cap-iterations 5",
+            "legendre --alpha surd17 --p 1,0 --q 0,50000 --cap-iterations 10",
+        ],
+    )
+    def test_walk_and_ladder_respect_cap(self, argv, capsys):
+        assert run(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert "cap exceeded" in captured.err and captured.out == ""
+
+    def test_oracle_cap_counts_denominators(self, capsys):
+        # 15 odd denominators and 21 multiples of √2 lie below 30.
+        argv = ["oracle", "--alpha", "surd17", "--max-q", "30"]
+        assert run([*argv, "--cap-iterations", "35"]) == 3
+        capsys.readouterr()
+        assert run([*argv, "--cap-iterations", "36"]) == 0
         capped = capsys.readouterr().out
         assert run(argv) == 0
         assert capsys.readouterr().out == capped

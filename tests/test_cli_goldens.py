@@ -1,4 +1,5 @@
-"""The README's `h4` examples, pinned in text, json and csv by sha256 digest.
+"""The README's `h4` examples and one case per remaining output branch,
+pinned in text, json and csv by sha256 digest.
 
 Every command of the CLI appears here at least once, so a refactor of the
 library or of the renderers that changes a single output byte fails.  The
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from h4approx.cli import run
+from h4approx.cli import COMMANDS, run
 
 GOLDENS_PATH = Path(__file__).with_name("cli_goldens.json")
 
@@ -37,8 +38,23 @@ README_EXAMPLES = [
     "optimality --stream A --i-max 5",
     "corpus --size 10 --seed 1 --coeff-bound 5",
 ]
+# Output branches the README examples do not reach.
+SQRT2_OVER_3 = '{"P":[0,1],"Q":[0,0],"D":[1,0],"S":[3,0]}'
+BRANCH_EXAMPLES = [
+    f"expand --alpha {SQRT2_OVER_3} --digits 12",  # terminated, with completions
+    f"period --alpha {SQRT2_OVER_3}",  # finite word
+    "k --alpha stream:three-powers --numeric --window 10 --records 30",  # no exact values
+    "optimality --stream B --i-max 3",
+    "best --alpha surd17 --max-q 200",
+    "dual-rosen --alpha surd17 --digits 6",
+    "k --alpha surd17 --exact",
+]
 FORMATS = ["text", "json", "csv"]
-CASES = [f"{example} --format {fmt}" for example in README_EXAMPLES for fmt in FORMATS]
+CASES = [
+    f"{example} --format {fmt}"
+    for example in README_EXAMPLES + BRANCH_EXAMPLES
+    for fmt in FORMATS
+]
 
 
 def run_digest(case: str) -> str:
@@ -58,6 +74,11 @@ def test_readme_example_output(case):
 def test_goldens_cover_every_case():
     goldens = json.loads(GOLDENS_PATH.read_text(encoding="utf-8"))
     assert sorted(goldens) == sorted(CASES)
+
+
+def test_every_command_has_a_golden():
+    pinned = {case.split()[0] for case in CASES}
+    assert sorted(set(COMMANDS) - pinned) == []
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .hecke_group import (
     numerators_near,
 )
 from .h4_expansion import CapExceeded, Expansion, Source
-from .rosen_cf import dual_flip, rosen_flip, select_M, select_N
+from .rosen_cf import dual_flip, rosen_flip
 
 BEST_BY_SUFFICIENT = "best-by-sufficient"
 BEST_NOT_SUFFICIENT = "best-but-not-sufficient"
@@ -33,7 +33,10 @@ DEFAULT_WALK_CAP = 100_000
 @dataclass(frozen=True)
 class BestApprox:
     """One element of the ordered best-approximation sequence, with the
-    index range of matrices realizing it and its membership flags.
+    index range [n_first, n_last] where it is a column of G_n and its
+    membership flags, read off that range: is_rosen when M_n·∞ is the
+    fraction at some n of it, is_dual likewise for N_n·∞ (the 0-th
+    convergents corrected for q = 1).
 
     common_witness marks fractions whose membership in BOTH families is
     realized at a single index n (tail and reversal on the qualifying side
@@ -80,8 +83,10 @@ def best_approximations(
     strictly increasing denominator.
 
     A fraction is kept when, at the last index of its matrix range, the tail
-    or the reversal is on the qualifying side of 1.  Flags mark membership
-    in the two continued-fraction convergent families.
+    or the reversal is on the qualifying side of 1.  Its flags are read off
+    that range, where it is a column of G_n: M_n·∞ is that column iff σ_n
+    matches the side, N_n·∞ iff σ̃_n does, and common_witness asks for both
+    at one n.
     """
     if max_q is None and max_count is None:
         raise ValueError("need a denominator bound or a count")
@@ -91,25 +96,28 @@ def best_approximations(
     stop_q = None if max_q is None else ZRt2.of(max_q)
     m = exp.leading_threes()
 
-    emissions: list[tuple[str, int, int, H4Fraction]] = []
-    rosen_set: set[H4Fraction] = set()
-    dual_set: set[H4Fraction] = set()
-    tu_start = vw_start = m + 1
+    emissions: list[tuple[str, int, int, H4Fraction, bool, bool, bool]] = []
+    # Per side: the open range's first index and, so far on it, whether
+    # M_n·∞, N_n·∞, or both at one n, were its column.
+    ranges = {"tu": (m + 1, False, False, False), "vw": (m + 1, False, False, False)}
     for n in range(m + 1, cap + 1):
         g = exp.matrix(n)
         tail = exp.tail_cmp_one(n)  # the one exact predicate of this index
-        rosen_set.add(_inf_fraction(select_M(exp, n)))
-        dual_set.add(_inf_fraction(select_N(exp, n, tail)))
+        sigma, dual_sigma = rosen_flip(exp, n), dual_flip(exp, n, tail)
         d_next = exp.digit(n + 1)
-        if d_next != 3:
-            if tail > 0 or exp.star_cmp_one(n) > 0:
-                emissions.append(("tu", tu_start, n, _inf_fraction(g)))
-            tu_start = n + 1
-        if d_next != 1:
-            if tail < 0 or exp.star_cmp_one(n) < 0:
-                emissions.append(("vw", vw_start, n, canonicalize_pair(g.v, g.w)))
-            vw_start = n + 1
-        low = g.u if (g.u - g.w).sign() < 0 else g.w
+        # t/u is fixed under A3, v/w under A1; the flipped selector is G_n·J.
+        for side, flipped, stay, col in (("tu", False, 3, (g.t, g.u)), ("vw", True, 1, (g.v, g.w))):
+            start, rosen, dual, both = ranges[side]
+            rosen_n, dual_n = sigma == flipped, dual_sigma == flipped
+            ranges[side] = (start, rosen or rosen_n, dual or dual_n, both or (rosen_n and dual_n))
+            if d_next == stay:
+                continue
+            # At the last index, the tail or the reversal qualifies iff
+            # M_n·∞ or N_n·∞ is this column.
+            if rosen_n or dual_n:
+                emissions.append((side, start, n, canonicalize_pair(*col), *ranges[side][1:]))
+            ranges[side] = (n + 1, False, False, False)
+        low = g.w if sigma else g.u  # the smaller denominator: w_n < u_n iff σ_n
         if stop_q is not None:
             if low.cmp(stop_q) > 0:
                 break
@@ -124,17 +132,14 @@ def best_approximations(
 
     # Dual-family correction: {N_n·∞} can contain the 0-th Rosen convergent,
     # which is a dual convergent only when the two first digits coincide.
-    a0, dual0 = _rosen_a0(exp), _dual_a0(exp)
-    if a0 != dual0:
-        dual_set.discard(canonicalize(a0, 1))
-    dual_set.add(canonicalize(dual0, 1))
+    rosen0, dual0 = canonicalize(_rosen_a0(exp), 1), canonicalize(_dual_a0(exp), 1)
 
     emissions.sort(key=cmp_to_key(lambda x, y: x[3].q.cmp(y[3].q)))
     out: list[BestApprox] = []
     prev_q: ZRt2 | None = None
     prev_err: Surd | None = None
     alpha = exp.alpha
-    for side, n1, n2, frac in emissions:
+    for side, n1, n2, frac, is_rosen, is_dual, both in emissions:
         if stop_q is not None and frac.q.cmp(stop_q) > 0:
             continue
         assert prev_q is None or prev_q.cmp(frac.q) < 0, "denominators must increase"
@@ -144,34 +149,12 @@ def best_approximations(
             assert prev_err is None or err.cmp(prev_err) < 0, "errors must decrease"
             prev_err = err
         prev_q = frac.q
-        is_rosen = frac in rosen_set
-        is_dual = frac in dual_set
-        common = is_rosen and is_dual and _has_common_witness(exp, side, n1, n2)
+        is_dual = frac == dual0 or (is_dual and frac != rosen0)
+        common = is_rosen and is_dual and both
         out.append(BestApprox(frac, side, n1, n2, is_rosen, is_dual, common, err))
     if max_count is not None:
         out = out[:max_count]
     return out
-
-
-def _has_common_witness(exp: Expansion, side: str, n1: int, n2: int) -> bool:
-    """Whether some single index of the range has the tail and the reversal
-    on the qualifying side of 1 simultaneously.
-
-    Interior indices of a length-3 range qualify automatically (the digit
-    entering is 3 resp. 1 on both sides of them), so only short ranges need
-    explicit sign checks."""
-    # The tu side qualifies above 1 (no flip), the vw side below 1 (flip).
-    flipped = side == "vw"
-    if n2 - n1 >= 2:
-        return True
-    if n2 - n1 == 1:
-        # n1's tail and n2's reversal qualify automatically.
-        return rosen_flip(exp, n1) == flipped or dual_flip(exp, n2) == flipped
-    return rosen_flip(exp, n1) == flipped and dual_flip(exp, n1) == flipped
-
-
-def _inf_fraction(m) -> H4Fraction:
-    return canonicalize_pair(m.t, m.u)
 
 
 def classify_transition(side: str, star: int, tail: int, d_next: int) -> tuple[str, str, int]:

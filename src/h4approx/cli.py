@@ -318,7 +318,7 @@ def cmd_legendre(args, cap: int) -> Output:
 def cmd_k(args, cap: int) -> Output:
     alpha = parse_alpha(args.alpha)
     if args.numeric:
-        res = k_numeric(alpha, records=args.records, window=args.window)
+        res = k_numeric(alpha, records=args.records, window=args.window, cap=cap)
         return Output(
             lambda: {"method": res.method, "certified": res.certified, "estimate": res.estimate,
                      "window": args.window, "records": args.records},
@@ -347,14 +347,23 @@ def cmd_k(args, cap: int) -> Output:
 def cmd_dirichlet(args, cap: int) -> Output:
     alpha = require_surd(parse_alpha(args.alpha), "dirichlet")
     wits = dirichlet_sweep(alpha, args.n_max, cap=cap)
+    # Consecutive thresholds share a witness fraction and its error, so a
+    # view renders its decimals once per distinct fraction.
+    errs = {w.frac: w.err for w in wits}
+
+    def by_frac(view: Callable) -> list:
+        """Each witness with view(fraction, error), computed per fraction."""
+        shown = {f: view(f, e) for f, e in errs.items()}
+        return [(w, shown[w.frac]) for w in wits]
+
     return Output(
         lambda: {"n_max": args.n_max, "all_verified": all(w.verify() for w in wits),
-                 "witnesses": [{"N": w.n_bound, **frac_payload(w.frac),
-                                "err_decimal": dec(w.err)} for w in wits]},
+                 "witnesses": [{"N": w.n_bound, **s} for w, s in by_frac(
+                     lambda f, e: {**frac_payload(f), "err_decimal": dec(e)})]},
         lambda: [f"verified thresholds 1..{args.n_max}"]
-        + [f"N={w.n_bound}: {w.frac} err={dec(w.err, 12)}" for w in wits],
+        + [f"N={w.n_bound}: {w.frac} err={s}" for w, s in by_frac(lambda f, e: dec(e, 12))],
         lambda: [["N", *PQ_HEADER, "err_decimal"]]
-        + [[w.n_bound, *pq(w.frac), dec(w.err)] for w in wits],
+        + [[w.n_bound, *pq(w.frac), s] for w, s in by_frac(lambda f, e: dec(e))],
     )
 
 

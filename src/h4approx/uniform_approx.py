@@ -80,14 +80,17 @@ def case_value(case: str, an, astar):
 _CASE_DECREASING_IN_TAIL = {"b1", "b2", "b3"}
 
 
-def uniform_sequence(source: Source | Expansion, count: int) -> list[UniformRecord]:
+def uniform_sequence(
+    source: Source | Expansion, count: int, cap: int = DEFAULT_WALK_CAP
+) -> list[UniformRecord]:
     """First `count` records.  For exact inputs each value is computed both
     by case expression and directly from the fractions, asserted equal, and
-    asserted to lie strictly in (1/2, (√2+1)/2)."""
+    asserted to lie strictly in (1/2, (√2+1)/2).  The walk raises
+    CapExceeded past `cap` indices, as in best_approximations."""
     if count < 0:
         raise ValueError(f"record count must not be negative, got {count}")
     exp = source if isinstance(source, Expansion) else Expansion(source)
-    best = best_approximations(exp, max_count=count + 1)
+    best = best_approximations(exp, max_count=count + 1, cap=cap)
     out: list[UniformRecord] = []
     for i, (cur, nxt) in enumerate(zip(best, best[1:]), start=1):
         case, nside, nn = successor_case(exp, cur.side, cur.n_last)
@@ -203,11 +206,14 @@ def k_exact(alpha: Surd, cap: int = 10_000) -> KResult:
     return KResult("exact-periodic", True, k, k.to_float(), tuple(phases))
 
 
-def k_numeric(source: Source | Expansion, records: int = 1000, window: int = 200) -> KResult:
-    """Windowed sup of the record values: an uncertified limsup estimate."""
+def k_numeric(
+    source: Source | Expansion, records: int = 1000, window: int = 200, cap: int = DEFAULT_WALK_CAP
+) -> KResult:
+    """Windowed sup of the record values: an uncertified limsup estimate
+    over a walk of at most `cap` indices."""
     if records < 1:
         raise ValueError(f"need at least one record, got {records}")
-    seq = uniform_sequence(source, records)
+    seq = uniform_sequence(source, records, cap=cap)
     tail = seq[-window:] if window < len(seq) else seq
     return KResult("numeric-limsup", False, None, max(r.midpoint() for r in tail), records=tuple(seq))
 

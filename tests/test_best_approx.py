@@ -183,29 +183,70 @@ class TestStreamBackend:
 
 
 class TestOnePredicatePerIndex:
-    def test_tail_sign_asked_once_per_walk_step(self, monkeypatch):
-        """The walk reads sign(α_n − 1) once per index for σ̃_n and both
-        emission tests; only the common-witness checks of the returned
-        fractions may ask again."""
-        import h4approx.best_approx as ba
+    def test_tail_sign_asked_once_per_walk_step(self):
+        """The walk reads sign(α_n − 1) once per index, for σ̃_n and both
+        emission tests.  A step is an index n > m(α) whose G_n the walk
+        reads, however the step is computed."""
         from h4approx.cli import make_corpus
 
         class Counting(Expansion):
             calls = 0
+            read: set[int] = set()
 
             def tail_cmp_one(self, n: int) -> int:
                 Counting.calls += 1
                 return super().tail_cmp_one(n)
 
-        steps = 0
-        select_m = ba.select_M
+            def matrix(self, n: int) -> Mat2:
+                Counting.read.add(n)
+                return super().matrix(n)
 
-        def counted_select_m(exp, n):
-            nonlocal steps
-            steps += 1
-            return select_m(exp, n)
-
-        monkeypatch.setattr(ba, "select_M", counted_select_m)
-        best = best_approximations(Counting(make_corpus(1, 5, 5)[3]), max_count=1000)
+        exp = Counting(make_corpus(1, 5, 5)[3])
+        best = best_approximations(exp, max_count=1000)
+        steps = sum(1 for n in Counting.read if n > exp.leading_threes())
         assert len(best) == 1000
         assert Counting.calls <= steps + len(best)
+
+
+class TestFlagsFromDefinitions:
+    """is_rosen, is_dual and common_witness against their definitions: the
+    selector fractions M_n·∞ and N_n·∞ over the walk and 60 indices beyond,
+    with the 0-th convergents taken from the regrouping walks."""
+
+    @staticmethod
+    def check(source, max_count: int) -> None:
+        from h4approx.rosen_cf import dual_from_h4, rosen_from_h4, select_M, select_N
+
+        exp = Expansion(source)
+        best = best_approximations(exp, max_count=max_count)
+        indices = range(exp.leading_threes() + 1, max(b.n_last for b in best) + 61)
+        inf = lambda g: canonicalize_pair(g.t, g.u)
+        rosen_at = {n: inf(select_M(exp, n)) for n in indices}
+        dual_at = {n: inf(select_N(exp, n)) for n in indices}
+        r0, d0 = frac(rosen_from_h4(exp, 0).a0, 1), frac(dual_from_h4(exp, 0).a0, 1)
+        dual = (set(dual_at.values()) - {r0}) | {d0}
+        for b in best:
+            assert b.is_rosen == (b.frac in rosen_at.values()), b
+            assert b.is_dual == (b.frac in dual), b
+            shared = any(
+                rosen_at[n] == dual_at[n] == b.frac for n in range(b.n_first, b.n_last + 1)
+            )
+            assert b.common_witness == (b.is_rosen and b.is_dual and shared), b
+
+    def test_corpus(self):
+        from h4approx.cli import make_corpus
+
+        for alpha in make_corpus(1, 30, 5):
+            self.check(alpha, 40)
+
+    @pytest.mark.parametrize("rule", ["four-blocks", "three-powers"])
+    def test_rule_streams(self, rule):
+        from h4approx.h4_expansion import STREAM_RULES
+
+        self.check(STREAM_RULES[rule](), 40)
+
+    def test_all_two_tail(self):
+        # The tail α_n equals 1 from n = 2 on, so σ̃_n falls to the reversal.
+        from h4approx.h4_expansion import PeriodicStream
+
+        self.check(PeriodicStream((3, 1), (2,)), 40)

@@ -271,6 +271,7 @@ class TestCountsAndBudgets:
             "oracle --alpha surd17 --max-q 200 --cap-iterations 10",
             "dirichlet --alpha surd17 --n-max 500 --cap-iterations 5",
             "legendre --alpha surd17 --p 1,0 --q 0,50000 --cap-iterations 10",
+            "k --alpha surd17 --numeric --records 50 --cap-iterations 10",
         ],
     )
     def test_walk_and_ladder_respect_cap(self, argv, capsys):
@@ -287,3 +288,26 @@ class TestCountsAndBudgets:
         capped = capsys.readouterr().out
         assert run(argv) == 0
         assert capsys.readouterr().out == capped
+
+
+class TestDirichletRendering:
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_decimals_once_per_distinct_fraction(self, fmt, monkeypatch, capsys):
+        """500 thresholds share 6 witness fractions; a fraction's decimal and
+        its error's are each rendered once."""
+        import h4approx.cli as cli
+        from h4approx.uniform_approx import dirichlet_sweep
+
+        calls = 0
+        real_dec = cli.dec
+
+        def counted_dec(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_dec(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "dec", counted_dec)
+        assert run(["dirichlet", "--alpha", "surd17", "--n-max", "500", "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        distinct = {w.frac for w in dirichlet_sweep(parse_alpha("surd17"), 500)}
+        assert calls <= 2 * len(distinct)

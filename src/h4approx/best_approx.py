@@ -72,6 +72,11 @@ def _dual_a0(exp: Expansion) -> int:
     return m + 1 if exp.tail_cmp_one(m) >= 0 else m
 
 
+def _signed(alpha: Surd, q: ZRt2, p: ZRt2) -> tuple[ZRt2, ZRt2]:
+    """(s·q, s·p) with s the sign of q·α − p, so that |q·α − p| = α·sq − sp."""
+    return (q, p) if alpha.linear_sign(q, p) >= 0 else (-q, -p)
+
+
 def best_approximations(
     source: Source | Expansion,
     *,
@@ -137,7 +142,7 @@ def best_approximations(
     emissions.sort(key=cmp_to_key(lambda x, y: x[3].q.cmp(y[3].q)))
     out: list[BestApprox] = []
     prev_q: ZRt2 | None = None
-    prev_err: Surd | None = None
+    prev: tuple[ZRt2, ZRt2] | None = None  # the previous record's (sq, sp)
     alpha = exp.alpha
     for side, n1, n2, frac, is_rosen, is_dual, both in emissions:
         if stop_q is not None and frac.q.cmp(stop_q) > 0:
@@ -145,9 +150,12 @@ def best_approximations(
         assert prev_q is None or prev_q.cmp(frac.q) < 0, "denominators must increase"
         err = None
         if alpha is not None:
-            err = abs(alpha * frac.q - frac.p)
-            assert prev_err is None or err.cmp(prev_err) < 0, "errors must decrease"
-            prev_err = err
+            sq, sp = _signed(alpha, frac.q, frac.p)
+            # The error drops iff α·(sq − sq′) − (sp − sp′) < 0.
+            assert prev is None or alpha.linear_sign(sq - prev[0], sp - prev[1]) < 0, "errors must decrease"
+            prev = (sq, sp)
+            # |q·α − p| = α·sq − sp, built once as (P·sq − sp·S + Q·sq·√D)/S.
+            err = Surd(alpha.P * sq - sp * alpha.S, alpha.Q * sq, alpha.D, alpha.S)
         prev_q = frac.q
         is_dual = frac == dual0 or (is_dual and frac != rosen0)
         common = is_rosen and is_dual and both
@@ -203,19 +211,19 @@ def oracle_best_approximations(
     if alpha.sign() <= 0 or alpha.is_sqrt2_rational():
         raise ValueError("oracle requires a positive value outside √2·Q")
     records: list[H4Fraction] = []
-    best_err: Surd | None = None
+    best: tuple[ZRt2, ZRt2] | None = None  # the record's (s·q, s·p), s the sign of q·α − p
     for scanned, q in enumerate(denominator_ladder(q_max), start=1):
         if scanned > cap:
             raise CapExceeded(f"oracle scan did not finish within {cap} denominators")
         lo, hi = numerators_near(alpha, q)
-        err_lo = abs(alpha * q - lo)
-        err_hi = abs(alpha * q - hi)
-        c = err_lo.cmp(err_hi)
+        # lo < q·α < hi, so lo is nearer iff 2q·α < lo + hi.
+        c = alpha.linear_sign(q + q, lo + hi)
         assert c != 0, "numerator tie would put the value in √2·Q"
-        p, err = (lo, err_lo) if c < 0 else (hi, err_hi)
-        if best_err is None or err.cmp(best_err) < 0:
+        p, sq, sp = (lo, q, lo) if c < 0 else (hi, -q, -hi)
+        # |q·α − p| = α·sq − sp beats the record iff α·(sq − sq′) − (sp − sp′) < 0.
+        if best is None or alpha.linear_sign(sq - best[0], sp - best[1]) < 0:
             records.append(canonicalize_pair(p, q))
-            best_err = err
+            best = (sq, sp)
     return records
 
 
@@ -225,13 +233,18 @@ def legendre_classify(alpha: Surd, frac: H4Fraction, cap: int = DEFAULT_WALK_CAP
 
     Consistency is asserted: sufficient implies membership, and membership
     implies the 1/q² bound."""
-    delta = abs(alpha - frac.value())
-    q2 = frac.q_squared()
+    sq, sp = _signed(alpha, frac.q, frac.p)
+
+    def within(k: int) -> bool:
+        # |q·α − p|·q·k < 1 with q > 0: α·(k·q·sq) − (k·q·sp + 1) < 0.
+        kq = frac.q * k
+        return alpha.linear_sign(kq * sq, kq * sp + 1) < 0
+
     member = frac in {b.frac for b in best_approximations(alpha, max_q=frac.q, cap=cap)}
-    if (delta * q2 * 2).cmp(1) < 0:
+    if within(2):
         assert member, "sufficient condition must imply membership"
         return BEST_BY_SUFFICIENT
     if member:
-        assert (delta * q2).cmp(1) < 0, "members satisfy the 1/q² bound"
+        assert within(1), "members satisfy the 1/q² bound"
         return BEST_NOT_SUFFICIENT
     return NOT_BEST

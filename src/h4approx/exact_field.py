@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from math import gcd, isqrt
 from typing import Union
 
 
@@ -353,6 +353,23 @@ def root_sign(X: ZRt2, Y: ZRt2, D: ZRt2) -> int:
     return sx * (X * X - Y * Y * D).sign()
 
 
+def _floor_seed(X: ZRt2, Y: ZRt2, D: ZRt2, den: ZRt2) -> int:
+    """Integer fixed-point estimate of ⌊(X + Y√D)/den⌋ for den > 0.  It
+    only starts a search that exact signs decide, so its error is harmless;
+    2^k with k twice the widest coefficient keeps it within a unit or so."""
+    k = 2 * max(v.bit_length() for v in (X.a, X.b, Y.a, Y.b, D.a, D.b, den.a, den.b)) + 16
+    one, rt2 = 1 << k, isqrt(2 << (2 * k))  # 2^k and ⌊√2·2^k⌋
+
+    def fix(z: ZRt2) -> int:  # ≈ z·2^k
+        return z.a * one + z.b * rt2
+
+    num = fix(X)
+    if Y.a or Y.b:
+        num += (fix(Y) * isqrt(max(fix(D), 0) << k)) >> k
+    d = fix(den)
+    return num // d if d > 0 else 0
+
+
 Scalar = Union[int, ZRt2, QRt2, "Surd"]
 
 
@@ -547,14 +564,46 @@ class Surd:
     def decimal(self, digits: int = 30) -> str:
         return _render_decimal(self.enclosure(digits + 10), digits)
 
+    def floor_linear(self, c: ZRt2, e: ZRt2, u: ZRt2) -> int:
+        """⌊(self·c − e)/u⌋ for c, e, u in Z[√2] with u > 0: the largest
+        integer a with linear_sign(c, e + a·u) ≥ 0.
+
+        A fixed-point estimate only seeds the search; linear_sign calls
+        decide it, gallop then bisect.  With an accurate seed that is two
+        calls: a fits and a + 1 does not."""
+        if u.sign() <= 0:
+            raise ValueError(f"floor_linear needs a positive divisor, got {u}")
+        # self·c − e − a·u = (X − a·uS + Y√D)/S with S > 0.
+        S = self.S.a
+        X, Y, D = self.P * c - e * self.S, self.Q * c, self.D
+        ua, ub = u.a * S, u.b * S
+
+        def ok(a: int) -> bool:
+            return root_sign(ZRt2(X.a - a * ua, X.b - a * ub), Y, D) >= 0
+
+        a = _floor_seed(X, Y, D, ZRt2(ua, ub))
+        if ok(a):
+            step = 1
+            while ok(a + step):
+                a += step
+                step *= 2
+            hi = a + step
+        else:
+            hi, step = a, 1
+            while not ok(a - step):
+                hi = a - step
+                step *= 2
+            a -= step
+        while hi - a > 1:  # ok(a) and not ok(hi)
+            mid = (a + hi) // 2
+            if ok(mid):
+                a = mid
+            else:
+                hi = mid
+        return a
+
     def floor(self) -> int:
-        lo, hi = self.enclosure(40)
-        n = floor((lo + hi) / 2)
-        while self.cmp(n) < 0:
-            n -= 1
-        while self.cmp(n + 1) >= 0:
-            n += 1
-        return n
+        return self.floor_linear(ONE, ZERO, ONE)
 
     def key(self) -> tuple[int, ...]:
         """Hashable canonical key (used for exact state-repetition detection)."""

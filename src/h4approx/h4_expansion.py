@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
-from .exact_field import ONE, SQRT2, QRt2, Surd, ZRt2
+from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2
 from .hecke_group import (
     DIGIT_MATRICES,
     DIGIT_MATRICES_INV,
@@ -474,6 +474,6 @@ def normalize_alpha(alpha: Surd) -> NormalizedAlpha:
     The representative is 0 exactly when alpha is a √2-integer; in_qh4 marks
     every √2-rational input (their expansions terminate).
     """
-    k = -(alpha / SQRT2_SURD).floor()
+    k = -alpha.floor_linear(ONE, ZERO, SQRT2)
     value = alpha + ZRt2(0, k)
     return NormalizedAlpha(k, T**k, value, value.is_sqrt2_rational())

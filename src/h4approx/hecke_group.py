@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .exact_field import ONE, SQRT2, QRt2, Surd, ZRt2, surd_mobius
+from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2, surd_mobius
 
 
 class NotInQH4(ValueError):
@@ -235,13 +235,13 @@ def denominator_ladder(max_value: int | ZRt2) -> Iterator[ZRt2]:
 
 def numerators_near(alpha: Surd, q: ZRt2) -> list[ZRt2]:
     """Nearest admissible numerators on each side of q·α for the canonical
-    denominator q: at most one coprime candidate below and one above."""
-    target = alpha * q
+    denominator q: at most one coprime candidate below and one above.
+    The floors of q·α and q·α/√2 are exact predicates on alpha."""
     out: list[ZRt2] = []
     if q.a != 0:
         # q odd: numerators √2·a with gcd(a, q) = 1.
         c = q.a
-        a0 = (target / Surd.sqrt2()).floor()
+        a0 = alpha.floor_linear(q, ZERO, SQRT2)
         for a, step in ((a0, -1), (a0 + 1, +1)):
             while gcd(a, c) != 1:
                 a += step
@@ -249,7 +249,7 @@ def numerators_near(alpha: Surd, q: ZRt2) -> list[ZRt2]:
     else:
         # q = √2·c: numerators odd a with gcd(a, 2c) = 1.
         c = q.b
-        f = target.floor()
+        f = alpha.floor_linear(q, ZERO, ONE)
         a0 = f if f % 2 else f - 1
         for a, step in ((a0, -2), (a0 + 2, +2)):
             while gcd(a, 2 * c) != 1:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterator
 
-from .exact_field import ONE, SQRT2, ZERO, Surd, ZRt2
+from .exact_field import ONE, SQRT2, TWO, ZERO, Surd, ZRt2
 from .hecke_group import H4Fraction, J, Mat2, canonicalize_pair
-from .h4_expansion import DEFAULT_SCAN_CAP, SQRT2_SURD, CapExceeded, Expansion, Source
+from .h4_expansion import DEFAULT_SCAN_CAP, CapExceeded, Expansion, Source
 
 
 class DomainError(ValueError):
@@ -88,12 +88,12 @@ class CFExpansion:
 
 def _rosen_window(x: Surd) -> int:
     # a√2 − 1/√2 < x < a√2 + 1/√2  ⟺  a = ⌊(√2·x + 1)/2⌋
-    return ((x * SQRT2_SURD + 1) / 2).floor()
+    return x.floor_linear(SQRT2, -ONE, TWO)
 
 
 def _dual_window(x: Surd) -> int:
     # (a−1)√2 + 1 ≤ x < a√2 + 1  ⟺  a = ⌊(x − 1)/√2⌋ + 1
-    return ((x - 1) / SQRT2_SURD).floor() + 1
+    return x.floor_linear(ONE, ONE, SQRT2) + 1
 
 
 def _gauss_map(

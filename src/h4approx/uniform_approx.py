@@ -225,8 +225,8 @@ class DirichletWitness:
     err: Surd
 
     def verify(self) -> bool:
-        """|qα − p|·N < (√2+1)/2, checked exactly."""
-        return (self.err * ZRt2(2 * self.n_bound, 0)).cmp(ZRt2(1, 1)) < 0
+        """|qα − p|·N < (√2+1)/2, checked exactly as one sign of err·2N − (1+√2)."""
+        return self.err.linear_sign(ZRt2(2 * self.n_bound, 0), ZRt2(1, 1)) < 0
 
 
 def dirichlet_witness(alpha: Surd, n_bound: int) -> DirichletWitness:

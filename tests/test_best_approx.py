@@ -166,6 +166,75 @@ class TestLegendre:
                     assert f in members
 
 
+def surd_subtraction_oracle(alpha: Surd, q_max: int) -> list:
+    """Reference oracle scan in Surd arithmetic: each error a Surd
+    |q·α − p|, each comparison a Surd subtraction."""
+    from h4approx.hecke_group import denominator_ladder, numerators_near
+
+    records = []
+    best_err = None
+    for q in denominator_ladder(q_max):
+        lo, hi = numerators_near(alpha, q)
+        err_lo, err_hi = abs(alpha * q - lo), abs(alpha * q - hi)
+        c = err_lo.cmp(err_hi)
+        assert c != 0
+        p, err = (lo, err_lo) if c < 0 else (hi, err_hi)
+        if best_err is None or err.cmp(best_err) < 0:
+            records.append(canonicalize_pair(p, q))
+            best_err = err
+    return records
+
+
+class TestPredicateErrors:
+    """The oracle, the enumerator's error checks and the Legendre bounds
+    decide with exact signs; their answers match Surd arithmetic."""
+
+    def test_oracle_matches_surd_subtraction_scan(self):
+        from h4approx.cli import make_corpus
+
+        for alpha in [SURD17, *make_corpus(1, 30, 5)]:
+            assert oracle_best_approximations(alpha, 80) == surd_subtraction_oracle(alpha, 80)
+
+    def test_oracle_builds_no_surd(self, monkeypatch):
+        from h4approx.cli import make_corpus
+
+        alphas = [SURD17, Surd.of(1), *make_corpus(1, 5, 5)]
+        calls = {"enclosure": 0, "__post_init__": 0}
+        for name in calls:
+            orig = getattr(Surd, name)
+
+            def counting(self, *args, _orig=orig, _name=name):
+                calls[_name] += 1
+                return _orig(self, *args)
+
+            monkeypatch.setattr(Surd, name, counting)
+        for alpha in alphas:
+            assert oracle_best_approximations(alpha, 150)
+        assert calls == {"enclosure": 0, "__post_init__": 0}
+
+    def test_err_is_the_surd_difference(self):
+        from h4approx.cli import make_corpus
+
+        for alpha in [SURD17, Surd.of(1), *make_corpus(2, 10, 5)]:
+            for b in best_approximations(alpha, max_count=12):
+                assert b.err == abs(alpha * b.q - b.p)
+
+    def test_legendre_bounds_match_surd_arithmetic(self):
+        from h4approx.hecke_group import denominator_ladder, numerators_near
+
+        for alpha in (SURD17, Surd.of(1)):
+            members = {b.frac for b in best_approximations(alpha, max_q=40)}
+            for q in denominator_ladder(40):
+                for p in numerators_near(alpha, q):
+                    f = canonicalize_pair(p, q)
+                    scaled = abs(alpha - f.value()) * f.q_squared()
+                    if (scaled * 2).cmp(1) < 0:
+                        want = BEST_BY_SUFFICIENT
+                    else:
+                        want = BEST_NOT_SUFFICIENT if f in members else NOT_BEST
+                    assert legendre_classify(alpha, f) == want
+
+
 class TestStreamBackend:
     def test_three_powers_only_tu_side(self):
         from h4approx.h4_expansion import three_powers_stream

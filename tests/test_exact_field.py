@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from h4approx.exact_field import (
     ONE,
     SQRT2,
+    TWO,
     ZERO,
     MixedRadicands,
     NegativeDiscriminant,
@@ -25,6 +26,9 @@ from h4approx.exact_field import (
     surd_mobius,
     zrt2_sqrt,
 )
+from h4approx import exact_field
+from h4approx.cli import make_corpus
+from h4approx.h4_expansion import Expansion
 
 # 50-digit rational bounds on sqrt2: the independent evaluation oracle.
 _SCALE = 10**50
@@ -239,6 +243,107 @@ class TestLinearSign:
         assert alpha.linear_sign(c, d) == 0 == (alpha * c - d).sign()
         assert alpha.linear_sign(c, d + 1) == -1
         assert alpha.linear_sign(c, d - 1) == 1
+
+
+def enclosure_floor(x: Surd) -> int:
+    """Reference floor: the midpoint of a 40-digit rational enclosure,
+    corrected by exact comparisons."""
+    lo, hi = x.enclosure(40)
+    n = floor((lo + hi) / 2)
+    while x.cmp(n) < 0:
+        n -= 1
+    while x.cmp(n + 1) >= 0:
+        n += 1
+    return n
+
+
+def certified_floor(alpha: Surd, c: ZRt2, e: ZRt2, u: ZRt2) -> int:
+    """floor_linear together with its certificate: a fits, a + 1 does not."""
+    a = alpha.floor_linear(c, e, u)
+    assert alpha.linear_sign(c, e + u * a) >= 0
+    assert alpha.linear_sign(c, e + u * (a + 1)) < 0
+    return a
+
+
+_POSITIVE = _ZRT2.filter(lambda u: u.sign() > 0)
+_LINEAR_FORMS = [(ONE, ZERO, ONE), (SQRT2, -ONE, TWO), (ONE, ONE, SQRT2), (ZRt2(3, -2), ZRt2(5, 1), ZRt2(1, 1))]
+
+
+def _deep_tails() -> list[Surd]:
+    """Bound-5 corpus surds whose tail α_1000 has coefficients above 900 bits."""
+    corpus = make_corpus(1, 25, 5)
+    return [Expansion(corpus[i]).tail(1000) for i in (17, 19, 24)]
+
+
+class TestFloorLinear:
+    """Surd.floor_linear(c, e, u) = ⌊(α·c − e)/u⌋, decided by linear_sign."""
+
+    @given(_surds(), _ZRT2, _ZRT2, _POSITIVE)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enclosure_floor(self, alpha, c, e, u):
+        assert certified_floor(alpha, c, e, u) == enclosure_floor((alpha * c - e) / u)
+
+    @given(_surds())
+    @settings(deadline=None)
+    def test_floor_is_the_unit_form(self, alpha):
+        assert alpha.floor() == alpha.floor_linear(ONE, ZERO, ONE) == enclosure_floor(alpha)
+
+    @given(_ZRT2, _ZRT2.filter(lambda q: not q.is_zero()), _ZRT2, _ZRT2, _POSITIVE)
+    @settings(max_examples=200, deadline=None)
+    def test_degenerate_values(self, p, q, c, e, u):
+        alpha = Surd.from_ratio(p, q)
+        assert alpha.is_degenerate()
+        assert certified_floor(alpha, c, e, u) == enclosure_floor((alpha * c - e) / u)
+
+    def test_exact_integer_values(self):
+        assert Surd.of(-3).floor_linear(ONE, ZERO, ONE) == -3
+        assert Surd.of(7).floor_linear(ONE, ONE, TWO) == 3  # (7 − 1)/2
+        assert Surd.sqrt2().floor_linear(SQRT2, ZERO, TWO) == 1  # √2·√2/2
+        assert Surd.sqrt2().floor_linear(ONE, ZERO, SQRT2) == 1
+
+    def test_negative_values(self):
+        assert (-SURD17).floor_linear(ONE, ZERO, SQRT2) == -2  # −2.518/1.414
+        far = ZRt2(10**30, 7)
+        for alpha in (SURD17, -SURD17):
+            for c, e, u in _LINEAR_FORMS:
+                a = certified_floor(alpha, c, e + far, u)
+                assert a < 0 and a == enclosure_floor((alpha * c - e - far) / u)
+
+    def test_nonpositive_divisor_rejected(self):
+        for u in (ZERO, ZRt2(1, -1), -ONE):
+            with pytest.raises(ValueError, match="positive divisor"):
+                SURD17.floor_linear(ONE, ZERO, u)
+
+    def test_deep_tails(self):
+        for x in _deep_tails():
+            assert max(abs(v).bit_length() for v in x.key()) > 900
+            for c, e, u in _LINEAR_FORMS:
+                assert certified_floor(x, c, e, u) == enclosure_floor((x * c - e) / u)
+
+    @pytest.mark.parametrize("seed", [0, 10**12, -(10**12), 3])
+    def test_seed_does_not_decide(self, monkeypatch, seed):
+        # A wrong starting point costs sign calls, never a wrong floor.
+        cases = [(alpha, form) for alpha in (SURD17, -SURD17, Surd.of(5)) for form in _LINEAR_FORMS]
+        want = [alpha.floor_linear(*form) for alpha, form in cases]
+        monkeypatch.setattr(exact_field, "_floor_seed", lambda *args: seed)
+        assert [certified_floor(alpha, *form) for alpha, form in cases] == want
+
+    def test_mpmath_60_digits(self):
+        mpmath = pytest.importorskip("mpmath")
+        alphas = [SURD17, -SURD17, *make_corpus(2, 12, 5), *_deep_tails()]
+        for alpha in alphas:
+            # Scale working precision to the coefficients: P + Q√D may
+            # cancel by as many digits as they carry.
+            digits = max(len(str(abs(v))) for v in alpha.key())
+            with mpmath.workdps(60 + 2 * digits):
+                def val(z: ZRt2):
+                    return z.a + z.b * mpmath.sqrt(2)
+
+                x = (val(alpha.P) + val(alpha.Q) * mpmath.sqrt(val(alpha.D))) / val(alpha.S)
+                for c, e, u in _LINEAR_FORMS:
+                    y = (x * val(c) - val(e)) / val(u)
+                    assert abs(y - mpmath.nint(y)) > mpmath.mpf(10) ** -50
+                    assert alpha.floor_linear(c, e, u) == int(mpmath.floor(y))
 
 
 def _mat(t, v, u, w):

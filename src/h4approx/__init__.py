@@ -19,7 +19,6 @@ from .h4_expansion import (
     FiniteWord,
     PeriodicStream,
     RuleStream,
-    convergents,
     detect_period,
     next_digit,
     normalize_alpha,
@@ -57,7 +56,7 @@ __all__ = [
     "H4Fraction", "Mat2", "canonicalize", "canonicalize_pair", "ford_tangent",
     "generators", "membership",
     "Expansion", "FiniteWord", "PeriodicStream", "RuleStream",
-    "convergents", "detect_period", "next_digit", "normalize_alpha",
+    "detect_period", "next_digit", "normalize_alpha",
     "CFExpansion", "RosenDigit", "dual_rosen_convergents", "dual_rosen_digits",
     "rosen_convergents", "rosen_digits", "select_M", "select_N",
     "BestApprox", "best_approximations", "legendre_classify",

@@ -231,7 +231,7 @@ def cmd_expand(args, cap: int) -> Output:
 
 def cmd_period(args, cap: int) -> Output:
     alpha = require_surd(parse_alpha(args.alpha), "period detection")
-    stream = detect_period(alpha, cap=min(cap, args.digits or cap))
+    stream = detect_period(alpha, cap=cap if args.digits is None else min(cap, args.digits))
     if isinstance(stream, PeriodicStream):
         pre, digits = list(stream.preperiod), list(stream.period)
         record = {"kind": "eventually-periodic", "preperiod": pre, "period": digits}

@@ -499,9 +499,6 @@ class Surd:
     def __truediv__(self, other: Scalar) -> Surd:
         return self * Surd.of(other).reciprocal()
 
-    def __rtruediv__(self, other: Scalar) -> Surd:
-        return Surd.of(other) * self.reciprocal()
-
     def __abs__(self) -> Surd:
         return -self if self.sign() < 0 else self
 
@@ -518,9 +515,16 @@ class Surd:
         return self.sign() == 0
 
     def cmp(self, other: Scalar) -> int:
+        """Exact sign of self − other, from one root_sign and no new surd:
+        with S, S′ > 0 it is the sign of (PS′ − P′S) + (QS′ − Q′S)·√D."""
         if isinstance(other, (int, ZRt2)):
             return self.linear_sign(ONE, ZRt2.of(other))
-        return (self - other).sign()
+        if isinstance(other, QRt2):
+            return self.linear_sign(ZRt2(other.den, 0), other.num)
+        d = self._common_d(other)
+        return root_sign(
+            self.P * other.S - other.P * self.S, self.Q * other.S - other.Q * self.S, d
+        )
 
     def __lt__(self, other: Scalar) -> bool:
         return self.cmp(other) < 0
@@ -619,14 +623,21 @@ class Surd:
 
 def surd_mobius(m, x: Surd) -> Surd:
     """Image of x under the linear fractional map of the 2x2 matrix m
-    (attributes t, v, u, w laid out as [[t, v], [u, w]])."""
-    a, b, c, d = m.t, m.v, m.u, m.w
-    if (a * d - b * c).is_zero():
+    (attributes t, v, u, w laid out as [[t, v], [u, w]]), normalized once.
+
+    With x = (P + Q√D)/S, m·x = (A + B√D)/(C + E√D) for A = tP + vS,
+    B = tQ, C = uP + wS, E = uQ; rationalizing by C − E√D gives
+    (AC − BE·D + det(m)·SQ·√D)/(C² − E²·D).  As √D is irrational when
+    Q ≠ 0, the pole is C = E = 0."""
+    t, v, u, w = m.t, m.v, m.u, m.w
+    det = t * w - v * u
+    if det.is_zero():
         raise ValueError("mobius matrix is singular")
-    den = x * c + d
-    if den.is_zero():
+    P, Q, D, S = x.P, x.Q, x.D, x.S
+    A, B, C, E = t * P + v * S, t * Q, u * P + w * S, u * Q
+    if C.is_zero() and E.is_zero():
         raise PoleAtValue(f"value is the pole of {m}")
-    return (x * a + b) / den
+    return Surd(A * C - B * E * D, det * S * Q, D, C * C - E * E * D)
 
 
 def quad_root(A: int | ZRt2, B: int | ZRt2, C: int | ZRt2, branch: str = "+") -> Surd:

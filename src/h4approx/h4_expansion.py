@@ -14,17 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2
-from .hecke_group import (
-    DIGIT_MATRICES,
-    DIGIT_MATRICES_INV,
-    H4Fraction,
-    Mat2,
-    T,
-    canonicalize_pair,
-)
-
-SQRT2_SURD = Surd.sqrt2()
-INV_SQRT2_SURD = Surd.from_ratio(ONE, SQRT2)
+from .hecke_group import DIGIT_MATRICES, DIGIT_MATRICES_INV, Mat2, T
 
 DEFAULT_PERIOD_CAP = 10_000
 DEFAULT_SCAN_CAP = 100_000
@@ -209,7 +199,9 @@ STREAM_RULES = {
 
 
 def next_digit(x: Surd) -> tuple[int, Surd]:
-    """Digit selecting the interval of x in (0,∞) and the exact tail.
+    """Digit selecting the interval of x in (0,∞) and the exact tail
+    A_d⁻¹·x.  x is placed against 1/√2 by the sign of x·√2 − 1 and against
+    √2 by one comparison, so only the tail is built.
 
     Raises Terminated when x is 0 or a boundary point (both in √2·Q).
     """
@@ -218,62 +210,17 @@ def next_digit(x: Surd) -> tuple[int, Surd]:
         raise ValueError("expansion is defined for positive values")
     if s == 0:
         raise Terminated("zero")
-    c1 = x.cmp(INV_SQRT2_SURD)
+    c1 = x.linear_sign(SQRT2, ONE)
     if c1 == 0:
         raise Terminated("inv_sqrt2")
     if c1 < 0:
-        return 1, DIGIT_MATRICES_INV[1].act(x)
-    c2 = x.cmp(SQRT2_SURD)
-    if c2 == 0:
-        raise Terminated("sqrt2")
-    if c2 < 0:
-        return 2, DIGIT_MATRICES_INV[2].act(x)
-    return 3, x - SQRT2_SURD
-
-
-@dataclass(frozen=True)
-class ConvergentState:
-    """Index n, the matrix G_n = [[t, v], [u, w]], and the expanded value α
-    when the expansion is surd-backed."""
-
-    n: int
-    mat: Mat2
-    alpha: Surd | None = field(default=None, repr=False)
-
-    @property
-    def tail(self) -> Surd | None:
-        """The exact tail α_n = G_n⁻¹·α, computed on each access."""
-        if self.alpha is None:
-            return None
-        return self.mat.inverse().act(self.alpha)
-
-    @property
-    def t(self) -> ZRt2:
-        return self.mat.t
-
-    @property
-    def v(self) -> ZRt2:
-        return self.mat.v
-
-    @property
-    def u(self) -> ZRt2:
-        return self.mat.u
-
-    @property
-    def w(self) -> ZRt2:
-        return self.mat.w
-
-    def tu_fraction(self) -> H4Fraction:
-        return canonicalize_pair(self.t, self.u)
-
-    def vw_fraction(self) -> H4Fraction:
-        return canonicalize_pair(self.v, self.w)
-
-    def alpha_star(self) -> Surd | None:
-        """w_n/u_n, the reversal value; None when u_n = 0 (projective ∞)."""
-        if self.u.is_zero():
-            return None
-        return Surd.from_ratio(self.w, self.u)
+        d = 1
+    else:
+        c2 = x.cmp(SQRT2)
+        if c2 == 0:
+            raise Terminated("sqrt2")
+        d = 2 if c2 < 0 else 3
+    return d, DIGIT_MATRICES_INV[d].act(x)
 
 
 Source = Union[Surd, DigitStream]
@@ -363,13 +310,12 @@ class Expansion:
         self._extend(n)
         return self._mats[n]
 
-    def state(self, n: int) -> ConvergentState:
-        return ConvergentState(n, self.matrix(n), self.alpha)
-
     def tail(self, n: int) -> Surd | None:
         """The exact tail α_n = G_n⁻¹·α, built on each call; None on stream
         backends."""
-        return self.state(n).tail
+        if self.alpha is None:
+            return None
+        return self.matrix(n).inverse().act(self.alpha)
 
     def tail_cmp_one(self, n: int) -> int:
         """Exact sign of α_n − 1: α(u + w) against t + v on surd backends,
@@ -421,14 +367,6 @@ class Expansion:
             hi = QRt2.from_ratio(w.t, w.u)
             if (hi - lo).cmp(tol) < 0:
                 return lo, hi
-
-
-def convergents(source: Source, n_max: int) -> list[ConvergentState]:
-    """G_1..G_{n_max}, whose states give exact tails on demand where
-    available; Terminated when the expansion of a √2-rational ends before
-    n_max."""
-    exp = Expansion(source)
-    return [exp.state(i) for i in range(1, n_max + 1)]
 
 
 def detect_period(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> DigitStream:

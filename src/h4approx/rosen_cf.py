@@ -105,8 +105,10 @@ def _gauss_map(
     cap: int,
 ) -> CFExpansion:
     """Exact iteration of f(x) = 1/|x − a√2| with a taken from the window;
-    every iterate after the first exceeds `lower`.  Raises CapExceeded
-    when the terms need more than `cap` iterations."""
+    every iterate after the first exceeds `lower`.  With ε the sign of
+    x − a√2, f is the Möbius map [[0, 1], [ε, −ε·a√2]], one normalization
+    per term.  Raises CapExceeded when the terms need more than `cap`
+    iterations."""
     if alpha.is_sqrt2_rational():
         raise DomainError("value lies in √2·Q")
     a0 = a = window(alpha)
@@ -115,9 +117,8 @@ def _gauss_map(
     while len(terms) < n_terms:
         if len(terms) >= cap:
             raise CapExceeded(f"Gauss map stopped at its cap of {cap} iterations")
-        x = x - ZRt2(0, a)
-        eps = x.sign()
-        x = ONE / abs(x)
+        eps = x.linear_sign(ONE, ZRt2(0, a))
+        x = Mat2.of(0, 1, eps, ZRt2(0, -eps * a)).act(x)
         assert x.cmp(lower) > 0
         a = window(x)
         terms.append(RosenDigit(eps, a))

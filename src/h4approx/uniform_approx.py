@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact_field import ONE, SQRT2, QRt2, Surd, ZRt2, quad_root
-from .hecke_group import DIGIT_MATRICES, H4Fraction, Mat2
+from .hecke_group import DIGIT_MATRICES, H4Fraction, Mat2, canonicalize_pair
 from .h4_expansion import (
     DigitStream,
     Expansion,
@@ -94,15 +94,14 @@ def uniform_sequence(
     out: list[UniformRecord] = []
     for i, (cur, nxt) in enumerate(zip(best, best[1:]), start=1):
         case, nside, nn = successor_case(exp, cur.side, cur.n_last)
-        succ = exp.state(nn)
-        expected = succ.tu_fraction() if nside == "tu" else succ.vw_fraction()
-        assert expected == nxt.frac, "successor table disagrees with enumeration"
+        succ = exp.matrix(nn)
+        col = (succ.t, succ.u) if nside == "tu" else (succ.v, succ.w)
+        assert canonicalize_pair(*col) == nxt.frac, "successor table disagrees with enumeration"
         n = cur.n_last
-        st = exp.state(n)
+        g = exp.matrix(n)
         if exp.alpha is not None:
-            star = st.alpha_star()
-            assert star is not None
-            value = case_value(case, st.tail, star)
+            assert not g.u.is_zero()
+            value = case_value(case, exp.tail(n), Surd.from_ratio(g.w, g.u))
             assert cur.err is not None
             direct = cur.err * nxt.frac.q
             assert value.cmp(direct) == 0, "case expression must match direct product"
@@ -110,7 +109,7 @@ def uniform_sequence(
             out.append(UniformRecord(i, case, n, value))
         else:
             lo, hi = exp.tail_bounds(n, tol_digits=12)
-            star_q = QRt2.from_ratio(st.w, st.u)
+            star_q = QRt2.from_ratio(g.w, g.u)
             v1 = case_value(case, lo, star_q)
             v2 = case_value(case, hi, star_q)
             if case in _CASE_DECREASING_IN_TAIL:
@@ -213,6 +212,8 @@ def k_numeric(
     over a walk of at most `cap` indices."""
     if records < 1:
         raise ValueError(f"need at least one record, got {records}")
+    if window < 1:
+        raise ValueError(f"need a window of at least one record, got {window}")
     seq = uniform_sequence(source, records, cap=cap)
     tail = seq[-window:] if window < len(seq) else seq
     return KResult("numeric-limsup", False, None, max(r.midpoint() for r in tail), records=tuple(seq))
@@ -286,9 +287,9 @@ def optimality_streams() -> dict[str, DigitStream]:
 
 def _vw_record_bounds(exp: Expansion, n: int, tol_digits: int = 9) -> tuple[QRt2, QRt2]:
     # w_n|w_n α − v_n| = w·x/(u·x + w) at x = α_n, increasing in x.
-    st = exp.state(n)
+    g = exp.matrix(n)
     lo, hi = exp.tail_bounds(n, tol_digits)
-    f = lambda x: x * st.w / (x * st.u + st.w)
+    f = lambda x: x * g.w / (x * g.u + g.w)
     return f(lo), f(hi)
 
 

@@ -354,11 +354,11 @@ def test_criterion_10_algebraic_invariants():
         exp = Expansion(alpha)
         prev = None
         for n in range(1, 31):
-            st = exp.state(n)
-            if st.u.is_zero():
+            g = exp.matrix(n)
+            if g.u.is_zero():
                 continue
-            lo = Surd.from_ratio(st.v, st.w)
-            hi = Surd.from_ratio(st.t, st.u)
+            lo = Surd.from_ratio(g.v, g.w)
+            hi = Surd.from_ratio(g.t, g.u)
             assert lo < alpha < hi
             if prev is not None:
                 assert prev[0].cmp(lo) <= 0 and hi.cmp(prev[1]) <= 0

@@ -123,8 +123,8 @@ class TestSuccessor:
             case, nside, nn = successor_case(exp, cur.side, cur.n_last)
             cases.append(case)
             assert nside == nxt.side
-            st_ = exp.state(nn)
-            got = st_.tu_fraction() if nside == "tu" else st_.vw_fraction()
+            g = exp.matrix(nn)
+            got = canonicalize_pair(g.t, g.u) if nside == "tu" else canonicalize_pair(g.v, g.w)
             assert got == nxt.frac
         assert cases == ["b1", "m2", "m1", "b2"]
 

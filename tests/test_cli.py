@@ -279,6 +279,21 @@ class TestCountsAndBudgets:
         captured = capsys.readouterr()
         assert "cap exceeded" in captured.err and captured.out == ""
 
+    def test_period_digits_zero_is_a_bound(self, capsys):
+        # surd17 has period 6: --digits 0 and 3 both trip, 6 does not.
+        for digits in ("0", "3"):
+            assert run(["period", "--alpha", "surd17", "--digits", digits]) == 3
+            captured = capsys.readouterr()
+            assert "cap exceeded" in captured.err and captured.out == ""
+        assert run(["period", "--alpha", "surd17", "--digits", "6"]) == 0
+
+    def test_k_numeric_empty_window_is_validation_error(self, capsys):
+        argv = ["k", "--alpha", "surd17", "--numeric", "--records", "20"]
+        assert run([*argv, "--window", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "window" in captured.err and captured.out == ""
+        assert run([*argv, "--window", "1"]) == 0
+
     def test_oracle_cap_counts_denominators(self, capsys):
         # 15 odd denominators and 21 multiples of √2 lie below 30.
         argv = ["oracle", "--alpha", "surd17", "--max-q", "30"]

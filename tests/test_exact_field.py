@@ -393,6 +393,131 @@ class TestMobius:
         assert surd_mobius(m, SURD17) == stepped
 
 
+# Reference copies of the operator-chain forms the closed forms replaced:
+# each Surd operator normalizes, so these build several surds per call.
+def chain_mobius(m, x: Surd) -> Surd:
+    a, b, c, d = m.t, m.v, m.u, m.w
+    if (a * d - b * c).is_zero():
+        raise ValueError("mobius matrix is singular")
+    den = x * c + d
+    if den.is_zero():
+        raise PoleAtValue(f"value is the pole of {m}")
+    return (x * a + b) / den
+
+
+def chain_cmp(x: Surd, y: Surd) -> int:
+    return (x - y).sign()
+
+
+def outcome(fn, *args):
+    """The value, or the exact type of the exception raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+# Radicands in Z[√2]: non-squares, and squares (4, 2 = √2², 3+2√2 = (1+√2)²)
+# that normalization absorbs into P.
+_radicand = st.sampled_from(
+    [ZRt2(3, 0), ZRt2(5, 0), ZRt2(1, 1), ZRt2(3, 1), ZRt2(5, 2), ZRt2(4, 0), TWO, ZRt2(3, 2)]
+)
+
+
+@st.composite
+def _radicand_surds(draw, radicand=_radicand):
+    S = draw(_ZRT2.filter(lambda z: not z.is_zero()))
+    Q = draw(st.one_of(st.just(ZERO), _ZRT2))  # Q = 0: a degenerate value
+    return Surd(draw(_ZRT2), Q, draw(radicand), S)
+
+
+_words = st.lists(st.sampled_from([1, 2, 3]), max_size=8)
+
+
+def _word_matrix(word):
+    m = IDENT
+    for d in word:
+        m = _mat_mul(m, {1: A1, 2: A2, 3: A3}[d])
+    return m
+
+
+class TestClosedForms:
+    """surd_mobius and Surd.cmp against the operator chains they replaced:
+    the same normal form, and the same exception where there is one."""
+
+    @settings(max_examples=150)
+    @given(_words, _radicand_surds())
+    def test_mobius_on_digit_products(self, word, x):
+        m = _word_matrix(word)
+        assert outcome(surd_mobius, m, x) == outcome(chain_mobius, m, x)
+
+    @settings(max_examples=150)
+    @given(_ZRT2, _ZRT2, _ZRT2, _ZRT2, _radicand_surds())
+    def test_mobius_on_any_matrix(self, t, v, u, w, x):
+        m = _mat(t, v, u, w)
+        assert outcome(surd_mobius, m, x) == outcome(chain_mobius, m, x)
+
+    @given(_ZRT2, _ZRT2, _ZRT2, _ZRT2.filter(lambda z: not z.is_zero()))
+    def test_pole_and_singular_as_before(self, t, v, p, s):
+        x = Surd.from_ratio(p, s)
+        pole = _mat(t, v, s, -p)  # u·x + w = 0
+        want = ValueError if (t * -p - v * s).is_zero() else PoleAtValue
+        assert outcome(surd_mobius, pole, x) is want
+        assert outcome(chain_mobius, pole, x) is want
+        singular = _mat(t, v, t * s, v * s)
+        assert outcome(surd_mobius, singular, x) is ValueError
+        assert outcome(chain_mobius, singular, x) is ValueError
+
+    def test_digit_products_on_corpus(self):
+        words = ([1], [2], [3], [3, 1, 2], [2, 2, 1, 3, 3], [1, 3, 2, 1, 2, 3, 1])
+        for x in [SURD17, *make_corpus(3, 10, 5)]:
+            for word in words:
+                m = _word_matrix(word)
+                assert surd_mobius(m, x) == chain_mobius(m, x)
+
+    @settings(max_examples=200)
+    @given(_radicand_surds(), _radicand_surds())
+    def test_cmp(self, x, y):
+        # Distinct irrational radicands raise MixedRadicands on both sides.
+        assert outcome(x.cmp, y) == outcome(chain_cmp, x, y)
+
+    @settings(max_examples=100)
+    @given(_radicand_surds(st.just(ZRt2(3, 1))), _ZRT2, _ZRT2)
+    def test_cmp_shared_radicand(self, x, a, b):
+        # y has x's radicand and denominator, so ties and near-ties are reached.
+        y = Surd(a, b, ZRt2(3, 1), x.S)
+        assert x.cmp(y) == chain_cmp(x, y)
+        assert x.cmp(x) == 0
+
+    @given(_radicand_surds(), _ZRT2, st.integers(1, 30))
+    def test_cmp_qrt2(self, x, num, den):
+        q = QRt2(num, den)
+        assert x.cmp(q) == chain_cmp(x, Surd.of(q))
+
+    def test_one_normalization_per_step_none_per_comparison(self, monkeypatch):
+        xs = [SURD17, Surd.of(3), *make_corpus(1, 5, 5)]
+        mats = [_word_matrix(w) for w in ([1], [2], [3], [3, 1, 2, 2, 3])]
+        built = 0
+        normalize = Surd.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            normalize(self)
+
+        monkeypatch.setattr(Surd, "__post_init__", counting)
+        for x in xs:
+            for m in mats:
+                built = 0
+                surd_mobius(m, x)
+                assert built == 1
+            for y in xs:
+                if y.is_degenerate() or x.is_degenerate() or y.D == x.D:
+                    built = 0
+                    x.cmp(y)
+                    assert built == 0
+
+
 class TestQuadRoot:
     def test_factorable(self):
         assert quad_root(1, 0, -1, "+").cmp(1) == 0

@@ -13,7 +13,6 @@ from h4approx.h4_expansion import (
     FiniteWord,
     PeriodicStream,
     Terminated,
-    convergents,
     detect_period,
     four_blocks_stream,
     next_digit,
@@ -70,8 +69,8 @@ class TestConvergents:
     def test_surd17_star_signs(self):
         exp = Expansion(SURD17)
         # α*_2 = √2/1 > 1 and α*_3 > 1; α*_4, α*_5, α*_6 < 1.
-        star2 = exp.state(2).alpha_star()
-        assert star2 is not None and star2.cmp(SQRT2) == 0
+        g2 = exp.matrix(2)
+        assert not g2.u.is_zero() and Surd.from_ratio(g2.w, g2.u).cmp(SQRT2) == 0
         assert [exp.star_cmp_one(n) for n in range(2, 7)] == [1, 1, -1, -1, -1]
 
     def test_surd17_tail_signs(self):
@@ -79,12 +78,13 @@ class TestConvergents:
         assert [exp.tail_cmp_one(n) for n in range(2, 7)] == [1, -1, -1, -1, 1]
 
     def test_alpha_one_powers(self):
-        states = convergents(Surd.of(1), 6)
+        exp = Expansion(Surd.of(1))
         m = Mat2.identity()
-        for st_ in states:
+        for n in range(1, 7):
             m = m * DIGIT_MATRICES[2]
-            assert st_.mat == m
-            assert st_.tail is not None and st_.tail.cmp(1) == 0
+            assert exp.matrix(n) == m
+            tail = exp.tail(n)
+            assert tail is not None and tail.cmp(1) == 0
 
     def test_tail_matches_mobius_inverse(self):
         exp = Expansion(SURD17)
@@ -97,11 +97,11 @@ class TestConvergents:
         exp = Expansion(SURD17)
         prev_lo, prev_hi = None, None
         for n in range(1, 25):
-            st_ = exp.state(n)
-            if st_.u.is_zero():
+            g = exp.matrix(n)
+            if g.u.is_zero():
                 continue
-            lo = Surd.from_ratio(st_.v, st_.w)
-            hi = Surd.from_ratio(st_.t, st_.u)
+            lo = Surd.from_ratio(g.v, g.w)
+            hi = Surd.from_ratio(g.t, g.u)
             assert lo < SURD17 < hi
             if prev_lo is not None:
                 assert prev_lo <= lo and hi <= prev_hi
@@ -110,19 +110,19 @@ class TestConvergents:
     def test_det_one_and_reversal_identity(self):
         exp = Expansion(SURD17)
         for n in range(1, 16):
-            st_ = exp.state(n)
-            assert st_.mat.det() == ONE
+            g = exp.matrix(n)
+            assert g.det() == ONE
             rev = Mat2.identity()
             for d in reversed(exp.word(n)):
                 rev = rev * DIGIT_MATRICES[d]
-            assert rev == Mat2(st_.w, st_.v, st_.u, st_.t)
+            assert rev == Mat2(g.w, g.v, g.u, g.t)
 
     def test_min_denominator_nondecreasing(self):
         exp = Expansion(SURD17)
         prev = ZRt2(0, 0)
         for n in range(1, 30):
-            st_ = exp.state(n)
-            cur = st_.u if (st_.u - st_.w).sign() < 0 else st_.w
+            g = exp.matrix(n)
+            cur = g.u if (g.u - g.w).sign() < 0 else g.w
             assert cur.cmp(prev) >= 0
             prev = cur
         assert prev.cmp(100) > 0
@@ -134,9 +134,9 @@ class TestConvergents:
             for d in reversed(exp.word(n)):
                 rev = rev * DIGIT_MATRICES[d]
             # [d_n, ..., d_1, 3^∞] = reversed-word image of ∞ = w_n/u_n
-            star = exp.state(n).alpha_star()
-            assert star is not None
-            assert Surd.from_ratio(rev.t, rev.u) == star
+            g = exp.matrix(n)
+            assert not g.u.is_zero()
+            assert Surd.from_ratio(rev.t, rev.u) == Surd.from_ratio(g.w, g.u)
 
 
 class TestDetectPeriod:

@@ -160,8 +160,8 @@ class TestSelectors:
         exp = Expansion(SURD17)
         for n in range(2, 12):
             m = select_M(exp, n)
-            st_ = exp.state(n)
-            other = st_.w if m.u == st_.u else st_.u
+            g = exp.matrix(n)
+            other = g.w if m.u == g.u else g.u
             assert m.u.cmp(other) < 0
 
 

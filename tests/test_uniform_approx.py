@@ -35,6 +35,8 @@ class TestUniformSequence:
     def test_k_numeric_needs_a_record(self):
         with pytest.raises(ValueError, match="at least one record"):
             k_numeric(SURD17, records=0)
+        with pytest.raises(ValueError, match="window of at least one record"):
+            k_numeric(SURD17, records=20, window=0)
 
     def test_alpha_one_records_increase_to_limit(self):
         seq = uniform_sequence(Surd.of(1), 12)

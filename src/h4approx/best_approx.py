@@ -20,14 +20,12 @@ from .hecke_group import (
     denominator_ladder,
     numerators_near,
 )
-from .h4_expansion import CapExceeded, Expansion, Source
+from .h4_expansion import DEFAULT_CAP, CapExceeded, Expansion, Source
 from .rosen_cf import dual_flip, rosen_flip
 
 BEST_BY_SUFFICIENT = "best-by-sufficient"
 BEST_NOT_SUFFICIENT = "best-but-not-sufficient"
 NOT_BEST = "not-best"
-
-DEFAULT_WALK_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def best_approximations(
     *,
     max_q: int | ZRt2 | None = None,
     max_count: int | None = None,
-    cap: int = DEFAULT_WALK_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> list[BestApprox]:
     """The best approximations of a positive value outside √2·Q, ordered by
     strictly increasing denominator.
@@ -198,7 +196,7 @@ def successor_case(exp: Expansion, side: str, n: int) -> tuple[str, str, int]:
 
 
 def oracle_best_approximations(
-    alpha: Surd, q_max: int | ZRt2, cap: int = DEFAULT_WALK_CAP
+    alpha: Surd, q_max: int | ZRt2, cap: int = DEFAULT_CAP
 ) -> list[H4Fraction]:
     """Definitional scan: ascend the denominator ladder, keep every fraction
     whose error strictly beats everything at smaller or equal denominator.
@@ -227,7 +225,7 @@ def oracle_best_approximations(
     return records
 
 
-def legendre_classify(alpha: Surd, frac: H4Fraction, cap: int = DEFAULT_WALK_CAP) -> str:
+def legendre_classify(alpha: Surd, frac: H4Fraction, cap: int = DEFAULT_CAP) -> str:
     """Three-way classification of a canonical fraction against alpha:
     within 1/(2q²) (sufficient), a best approximation anyway, or neither.
 

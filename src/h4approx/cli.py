@@ -16,6 +16,7 @@ from typing import Any, Callable, Sequence
 from .exact_field import MixedRadicands, QRt2, Surd, ZRt2
 from .hecke_group import H4Fraction, NotInQH4, canonicalize_pair
 from .h4_expansion import (
+    DEFAULT_CAP,
     CapExceeded,
     DigitStream,
     Expansion,
@@ -43,7 +44,9 @@ EXIT_CAP = 3
 DECIMAL_DIGITS = 30
 CORPUS_RNG = "python-mersenne"
 
-DEFAULTS = {"format": "text", "seed": 1, "cap_iterations": 100_000}
+DEFAULTS = {"format": "text", "seed": 1, "cap_iterations": DEFAULT_CAP}
+CONFIG_KEYS = (*DEFAULTS, "corpus_rng")
+FORMATS = ("text", "json", "csv")
 
 PRESETS = {
     "one": lambda: Surd.of(1),
@@ -419,7 +422,7 @@ COMMANDS = {
 def _add_common(p: argparse.ArgumentParser, default: Any) -> None:
     """The global flags.  The subcommand copies default to SUPPRESS, so a
     flag given before the subcommand is kept unless it is given again after."""
-    p.add_argument("--format", choices=["text", "json", "csv"], default=default)
+    p.add_argument("--format", choices=FORMATS, default=default)
     p.add_argument("--json", dest="format", action="store_const", const="json", default=default)
     p.add_argument("--csv", dest="format", action="store_const", const="csv", default=default)
     p.add_argument("--seed", type=int, default=default)
@@ -503,10 +506,22 @@ def load_config(path: str) -> dict:
                 cfg[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValidationError(f"config {path}: unknown keys {unknown}; have {list(CONFIG_KEYS)}")
     if "corpus_rng" in cfg and cfg["corpus_rng"] != CORPUS_RNG:
         raise ValidationError(
             f"config pins corpus_rng={cfg['corpus_rng']!r}; this build provides {CORPUS_RNG!r}"
         )
+    if cfg.get("format", "text") not in FORMATS:
+        raise ValidationError(f"config {path}: format must be one of {list(FORMATS)}, "
+                              f"got {cfg['format']!r}")
+    for key in ("seed", "cap_iterations"):
+        if key in cfg:
+            cfg[key] = int(cfg[key])  # a ValueError here exits 2 like any bad value
+    if cfg.get("cap_iterations", 0) < 0:
+        raise ValidationError(f"config {path}: cap_iterations must not be negative, "
+                              f"got {cfg['cap_iterations']}")
     return cfg
 
 
@@ -514,14 +529,12 @@ def _resolve(args: argparse.Namespace) -> None:
     cfg = load_config(args.config) if args.config else {}
     for key, builtin in DEFAULTS.items():
         if getattr(args, key, None) is None:
-            value: Any = cfg.get(key, builtin)
-            if key in ("seed", "cap_iterations"):
-                value = int(value)
-            setattr(args, key, value)
+            setattr(args, key, cfg.get(key, builtin))
 
 
 # Flags that count digits, terms, records or a bound; none may be negative.
-COUNT_FLAGS = ("digits", "count", "max_q", "n_max", "records", "window", "i_max", "size")
+COUNT_FLAGS = ("digits", "count", "max_q", "n_max", "records", "window", "i_max", "size",
+               "cap_iterations")
 
 
 def _check_counts(args: argparse.Namespace) -> None:

@@ -290,7 +290,13 @@ class QRt2:
 
 
 def _digit_len(*values: int) -> int:
-    return max(len(str(abs(v))) for v in values)
+    """Decimal digits of the largest |value|, counted without str(), which
+    refuses ints past 4,300 digits."""
+    v = max(abs(x) for x in values) or 1  # 0 has one digit, as 1 does
+    d = (v.bit_length() - 1) * 1233 >> 12  # 1233/2^12 < log10(2), so 10^d ≤ v
+    while v >= 10**d:
+        d += 1
+    return d
 
 
 def _sqrt2_bounds(digits: int) -> tuple[Fraction, Fraction]:
@@ -316,22 +322,6 @@ def _fraction_sqrt_bounds(x: Fraction, digits: int) -> tuple[Fraction, Fraction]
 
 
 _Iv = tuple[Fraction, Fraction]
-
-
-def _iadd(x: _Iv, y: _Iv) -> _Iv:
-    return x[0] + y[0], x[1] + y[1]
-
-
-def _imul(x: _Iv, y: _Iv) -> _Iv:
-    prods = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return min(prods), max(prods)
-
-
-def _idiv(x: _Iv, y: _Iv) -> _Iv:
-    if y[0] <= 0 <= y[1]:
-        raise ZeroDivisionError("interval denominator straddles zero")
-    recips = (1 / y[0], 1 / y[1])
-    return _imul(x, (min(recips), max(recips)))
 
 
 def _render_decimal(bounds: _Iv, digits: int) -> str:
@@ -443,11 +433,6 @@ class Surd:
         """True when the value lies in √2·Q, the orbit of ∞ boundary set."""
         return self.is_degenerate() and (self.P * self.S.conj()).a == 0
 
-    def as_qrt2(self) -> QRt2:
-        if not self.is_degenerate():
-            raise ValueError("surd has an irrational radical part")
-        return QRt2(self.P, self.S.a)
-
     def _common_d(self, other: Surd) -> ZRt2:
         if self.Q.is_zero():
             return other.D
@@ -539,27 +524,20 @@ class Surd:
         return self.cmp(other) >= 0
 
     def enclosure(self, digits: int = 40) -> tuple[Fraction, Fraction]:
-        """Rational bounds on the value, sharpening until S is sign-determined.
+        """Rational bounds on the value, in one pass: S is a positive integer
+        in normal form, so both bounds of P + Q√D divide by it exactly.
 
         Working precision is scaled to coefficient size: (P + Q√D) may cancel
         to a value many orders below its terms."""
-        base = digits + _digit_len(
+        prec = digits + _digit_len(
             self.P.a, self.P.b, self.Q.a, self.Q.b, self.D.a, self.D.b, self.S.a
         ) + 8
-        for attempt in range(6):
-            prec = base << attempt
-            p = _zrt2_bounds(self.P, prec)
-            q = _zrt2_bounds(self.Q, prec)
-            s = _zrt2_bounds(self.S, prec)
-            if s[0] <= 0 <= s[1]:
-                continue
-            dlo, dhi = _zrt2_bounds(self.D, prec)
-            rd = (
-                _fraction_sqrt_bounds(dlo, prec)[0],
-                _fraction_sqrt_bounds(dhi, prec)[1],
-            )
-            return _idiv(_iadd(p, _imul(q, rd)), s)
-        raise RuntimeError("failed to separate denominator from zero")
+        p = _zrt2_bounds(self.P, prec)
+        q = _zrt2_bounds(self.Q, prec)
+        dlo, dhi = _zrt2_bounds(self.D, prec)
+        rd = _fraction_sqrt_bounds(dlo, prec)[0], _fraction_sqrt_bounds(dhi, prec)[1]
+        qrd = [x * y for x in q for y in rd]  # Q·√D lies between their least and greatest
+        return (p[0] + min(qrd)) / self.S.a, (p[1] + max(qrd)) / self.S.a
 
     def to_float(self) -> float:
         lo, hi = self.enclosure(40)

@@ -16,8 +16,8 @@ from typing import Callable, Union
 from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2
 from .hecke_group import DIGIT_MATRICES, DIGIT_MATRICES_INV, Mat2, T
 
-DEFAULT_PERIOD_CAP = 10_000
-DEFAULT_SCAN_CAP = 100_000
+DEFAULT_CAP = 100_000  # walk indices, Gauss-map terms, digit scans, oracle denominators
+DEFAULT_PERIOD_CAP = 10_000  # period detection, which builds every tail
 
 
 class Terminated(Exception):
@@ -49,7 +49,7 @@ class DigitStream:
     def digit(self, n: int) -> int:
         raise NotImplementedError
 
-    def next_non_two(self, n: int, cap: int = DEFAULT_SCAN_CAP) -> int | None:
+    def next_non_two(self, n: int, cap: int = DEFAULT_CAP) -> int | None:
         """Smallest index > n whose digit differs from 2, or None when the
         tail past n is certified all twos."""
         for k in range(n + 1, n + cap + 1):
@@ -91,7 +91,7 @@ class PeriodicStream(DigitStream):
             return self.preperiod[n - 1]
         return self.period[(n - 1 - len(self.preperiod)) % len(self.period)]
 
-    def next_non_two(self, n: int, cap: int = DEFAULT_SCAN_CAP) -> int | None:
+    def next_non_two(self, n: int, cap: int = DEFAULT_CAP) -> int | None:
         horizon = max(n + 1, len(self.preperiod) + 1) + len(self.period)
         for k in range(n + 1, horizon + 1):
             if self.digit(k) != 2:
@@ -104,7 +104,7 @@ class FiniteWord(DigitStream):
     """Terminating expansion of a value in √2·Q, with the boundary reached."""
 
     digits: tuple[int, ...]
-    boundary: str  # "inv_sqrt2" | "sqrt2" | "zero"
+    boundary: str  # "inv_sqrt2" | "sqrt2"
     kind = "finite"
 
     def digit(self, n: int) -> int:
@@ -114,13 +114,8 @@ class FiniteWord(DigitStream):
 
     def completions(self) -> tuple[PeriodicStream, PeriodicStream]:
         """The two infinite digit sequences representing the same value."""
-        heads = {"inv_sqrt2": (1, 2), "sqrt2": (2, 3), "zero": (0, 1)}
+        heads = {"inv_sqrt2": (1, 2), "sqrt2": (2, 3)}
         lo_head, hi_head = heads[self.boundary]
-        if self.boundary == "zero":
-            return (
-                PeriodicStream(self.digits, (1,)),
-                PeriodicStream(self.digits, (1,)),
-            )
         return (
             PeriodicStream(self.digits + (lo_head,), (3,)),
             PeriodicStream(self.digits + (hi_head,), (1,)),
@@ -139,7 +134,7 @@ class RuleStream(DigitStream):
     def digit(self, n: int) -> int:
         return self.digit_fn(n)
 
-    def next_non_two(self, n: int, cap: int = DEFAULT_SCAN_CAP) -> int | None:
+    def next_non_two(self, n: int, cap: int = DEFAULT_CAP) -> int | None:
         if self.non_two_fn is not None:
             return self.non_two_fn(n)
         return super().next_non_two(n, cap)
@@ -236,7 +231,7 @@ class Expansion:
     Emitted values are immutable and safe to share.
     """
 
-    def __init__(self, source: Source, cap: int = DEFAULT_SCAN_CAP):
+    def __init__(self, source: Source, cap: int = DEFAULT_CAP):
         self.cap = cap
         self._digits: list[int] = []
         self._mats: list[Mat2] = [Mat2.identity()]
@@ -255,10 +250,6 @@ class Expansion:
     @property
     def terminated_length(self) -> int | None:
         return len(self._digits) if self._boundary is not None else None
-
-    @property
-    def boundary(self) -> str | None:
-        return self._boundary
 
     def _extend(self, n: int) -> None:
         while len(self._digits) < n:
@@ -344,15 +335,10 @@ class Expansion:
         return m
 
     def tail_bounds(self, n: int, tol_digits: int = 30) -> tuple[QRt2, QRt2]:
-        """Exact rational-in-Q(√2) enclosure of α_n from a lookahead window.
-
-        Surd backends in Q(√2) answer exactly; other backends nest the
-        interval G-window image of (0, ∞) until its width is below
+        """Exact rational-in-Q(√2) enclosure of α_n from a lookahead window:
+        the window's image of (0, ∞), nested until its width is below
         10^-tol_digits.
         """
-        if self.alpha is not None and self.alpha.is_degenerate():
-            q = self.tail(n).as_qrt2()
-            return q, q
         tol = QRt2(ONE, 10**tol_digits)
         w = Mat2.identity()
         k = n

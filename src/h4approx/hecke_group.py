@@ -156,13 +156,6 @@ class H4Fraction:
     def to_json(self) -> dict:
         return {"p": list(self.p.pair()), "q": list(self.q.pair()), "family": self.family}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> H4Fraction:
-        frac = canonicalize_pair(ZRt2(*obj["p"]), ZRt2(*obj["q"]))
-        if frac.family != obj["family"]:
-            raise ValueError(f"family mismatch for {obj}")
-        return frac
-
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
 

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 from .exact_field import ONE, SQRT2, TWO, ZERO, Surd, ZRt2
 from .hecke_group import H4Fraction, J, Mat2, canonicalize_pair
-from .h4_expansion import DEFAULT_SCAN_CAP, CapExceeded, Expansion, Source
+from .h4_expansion import DEFAULT_CAP, CapExceeded, Expansion, Source
 
 
 class DomainError(ValueError):
@@ -125,13 +125,13 @@ def _gauss_map(
     return CFExpansion(kind, a0, tuple(terms))
 
 
-def rosen_digits(alpha: Surd, n_terms: int, cap: int = DEFAULT_SCAN_CAP) -> CFExpansion:
+def rosen_digits(alpha: Surd, n_terms: int, cap: int = DEFAULT_CAP) -> CFExpansion:
     """Rosen expansion by exact iteration of f(x) = 1/|x − a√2| on the
     nearest-√2-multiple window."""
     return _gauss_map(alpha, n_terms, "rosen", _rosen_window, SQRT2, cap)
 
 
-def dual_rosen_digits(alpha: Surd, n_terms: int, cap: int = DEFAULT_SCAN_CAP) -> CFExpansion:
+def dual_rosen_digits(alpha: Surd, n_terms: int, cap: int = DEFAULT_CAP) -> CFExpansion:
     """Dual expansion: window (ã−1)√2 + 1 ≤ x < ã√2 + 1, closed left end."""
     return _gauss_map(alpha, n_terms, "dual-rosen", _dual_window, 1, cap)
 

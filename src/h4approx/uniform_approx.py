@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .exact_field import ONE, SQRT2, QRt2, Surd, ZRt2, quad_root
 from .hecke_group import DIGIT_MATRICES, H4Fraction, Mat2, canonicalize_pair
 from .h4_expansion import (
-    DigitStream,
+    DEFAULT_CAP,
+    DEFAULT_PERIOD_CAP,
     Expansion,
     PeriodicStream,
     Source,
@@ -23,7 +24,6 @@ from .h4_expansion import (
     three_powers_stream,
 )
 from .best_approx import (
-    DEFAULT_WALK_CAP,
     best_approximations,
     classify_transition,
     successor_case,
@@ -81,7 +81,7 @@ _CASE_DECREASING_IN_TAIL = {"b1", "b2", "b3"}
 
 
 def uniform_sequence(
-    source: Source | Expansion, count: int, cap: int = DEFAULT_WALK_CAP
+    source: Source | Expansion, count: int, cap: int = DEFAULT_CAP
 ) -> list[UniformRecord]:
     """First `count` records.  For exact inputs each value is computed both
     by case expression and directly from the fractions, asserted equal, and
@@ -138,9 +138,6 @@ class KResult:
     phases: tuple[PhaseLimit, ...] = ()
     records: tuple[UniformRecord, ...] = ()  # the sequence a numeric estimate reads
 
-    def decimal(self, digits: int = 30) -> str:
-        return self.value.decimal(digits) if self.value is not None else repr(self.estimate)
-
 
 def _word_matrix(word: tuple[int, ...]) -> Mat2:
     m = Mat2.identity()
@@ -170,7 +167,7 @@ def _eventual_star_sign(pi: tuple[int, ...], j: int, rho: tuple[int, ...]) -> in
     return 1
 
 
-def k_exact(alpha: Surd, cap: int = 10_000) -> KResult:
+def k_exact(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> KResult:
     """Exact uniform constant via per-phase limits of the record values.
 
     Over one period, each qualifying transition's record value converges to
@@ -206,7 +203,7 @@ def k_exact(alpha: Surd, cap: int = 10_000) -> KResult:
 
 
 def k_numeric(
-    source: Source | Expansion, records: int = 1000, window: int = 200, cap: int = DEFAULT_WALK_CAP
+    source: Source | Expansion, records: int = 1000, window: int = 200, cap: int = DEFAULT_CAP
 ) -> KResult:
     """Windowed sup of the record values: an uncertified limsup estimate
     over a walk of at most `cap` indices."""
@@ -244,7 +241,7 @@ def dirichlet_witness(alpha: Surd, n_bound: int) -> DirichletWitness:
 
 
 def dirichlet_sweep(
-    alpha: Surd, n_max: int, cap: int = DEFAULT_WALK_CAP
+    alpha: Surd, n_max: int, cap: int = DEFAULT_CAP
 ) -> list[DirichletWitness]:
     """Witnesses for every integer threshold 1..n_max, verified exactly."""
     if n_max < 1:
@@ -279,10 +276,6 @@ class OptimalityPoint:
 STREAM_A_TARGET_MAIN = QRt2(ZRt2(-1, 1), 1)  # 1/(√2+1) = √2 − 1
 STREAM_A_TARGET_AUX = QRt2(ONE, 1)
 STREAM_B_TARGET = QRt2(ONE, 2)
-
-
-def optimality_streams() -> dict[str, DigitStream]:
-    return {"A": four_blocks_stream(), "B": three_powers_stream()}
 
 
 def _vw_record_bounds(exp: Expansion, n: int, tol_digits: int = 9) -> tuple[QRt2, QRt2]:

@@ -115,6 +115,14 @@ class TestCommands:
         payload = json.loads(res.stdout)
         assert len(payload["points"]) == 2
 
+    def test_optimality_bounds_past_the_str_limit(self, capsys):
+        # The n = 49,150 bound has a denominator of 27,892 bits, past the
+        # 4,300 digits that int-to-str conversion accepts.
+        assert run(["optimality", "--stream", "A", "--i-max", "7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 14
+        assert lines[-2].startswith("i=7 n=49150 ") and lines[-1].startswith("i=7 n=32767 ")
+
     def test_stream_alpha_for_best(self):
         res = h4("best", "--alpha", "stream:three-powers", "--count", "3", "--json")
         assert res.returncode == 0
@@ -189,6 +197,15 @@ class TestDeterminismAndConfig:
         res = h4("corpus", "--size", "1", "--config", str(cfg))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("line", ["cap_iterations = -1", "cap_iterations = ten",
+                                      "format = xml", "formatt = json"])
+    def test_config_rejects_bad_values_and_keys(self, line, tmp_path, capsys):
+        cfg = tmp_path / "h4.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["rosen", "--alpha", "surd17", "--digits", "3", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_json_roundtrip_through_parse_alpha(self):
         for s in make_corpus(5, 5, 4):
             again = parse_alpha(json.dumps(surd_to_json(s)))
@@ -244,6 +261,7 @@ class TestCountsAndBudgets:
             "dirichlet --alpha surd17 --n-max -1",
             "optimality --stream A --i-max -1",
             "corpus --size -2",
+            "expand --alpha one --digits 3 --cap-iterations -1",
         ],
     )
     def test_negative_count_is_validation_error(self, argv, capsys):

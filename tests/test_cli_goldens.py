@@ -15,6 +15,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,30 @@ def run_digest(case: str) -> str:
 def test_readme_example_output(case):
     goldens = json.loads(GOLDENS_PATH.read_text(encoding="utf-8"))
     assert run_digest(case) == goldens[case]
+
+
+# Digests of every case, printed as JSON by a child that imports this module.
+OPTIMIZED_CHILD = """
+import json, sys
+from tests.test_cli_goldens import CASES, run_digest
+print(json.dumps({"optimize": sys.flags.optimize, "digests": {c: run_digest(c) for c in CASES}}))
+"""
+
+
+def test_goldens_under_python_O():
+    """Every case again in one `python -O` child, where asserts vanish: the
+    output must not depend on them."""
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), str(root), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHILD],
+        cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == 1
+    assert result["digests"] == json.loads(GOLDENS_PATH.read_text(encoding="utf-8"))
 
 
 def test_goldens_cover_every_case():

@@ -7,7 +7,7 @@ from math import floor, isqrt
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from h4approx.exact_field import (
@@ -29,6 +29,7 @@ from h4approx.exact_field import (
 from h4approx import exact_field
 from h4approx.cli import make_corpus
 from h4approx.h4_expansion import Expansion
+from h4approx.hecke_group import DIGIT_MATRICES, Mat2
 
 # 50-digit rational bounds on sqrt2: the independent evaluation oracle.
 _SCALE = 10**50
@@ -518,6 +519,91 @@ class TestClosedForms:
                     assert built == 0
 
 
+def retry_enclosure(x: Surd, digits: int) -> tuple[Fraction, Fraction]:
+    """Reference copy of the enclosure the one pass replaced: bounds on S
+    as an interval, sharpened until they exclude 0, then interval division."""
+
+    def imul(p, q):
+        prods = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])
+        return min(prods), max(prods)
+
+    values = (x.P.a, x.P.b, x.Q.a, x.Q.b, x.D.a, x.D.b, x.S.a)
+    base = digits + max(len(str(abs(v))) for v in values) + 8
+    for attempt in range(6):
+        prec = base << attempt
+        p = exact_field._zrt2_bounds(x.P, prec)
+        q = exact_field._zrt2_bounds(x.Q, prec)
+        s = exact_field._zrt2_bounds(x.S, prec)
+        if s[0] <= 0 <= s[1]:
+            continue
+        dlo, dhi = exact_field._zrt2_bounds(x.D, prec)
+        rd = (
+            exact_field._fraction_sqrt_bounds(dlo, prec)[0],
+            exact_field._fraction_sqrt_bounds(dhi, prec)[1],
+        )
+        qrd = imul(q, rd)
+        num = (p[0] + qrd[0], p[1] + qrd[1])
+        recips = (1 / s[0], 1 / s[1])
+        return imul(num, (min(recips), max(recips)))
+    raise RuntimeError("failed to separate denominator from zero")
+
+
+_NONZERO = _ZRT2.filter(lambda z: not z.is_zero())
+_HUGE = st.integers(-(10**400), 10**400)
+
+
+@st.composite
+def _constructed(draw) -> Surd:
+    # S with a √2 part or a negative sign: both are normalized away.
+    S = draw(_NONZERO.filter(lambda z: z.b != 0 or z.a < 0))
+    return Surd(draw(_ZRT2), draw(_ZRT2), draw(_radicand), S)
+
+
+@st.composite
+def _mobius_images(draw) -> Surd:
+    x = draw(_radicand_surds())
+    assume(x.sign() > 0)  # digit matrices have no pole on (0, ∞)
+    m = Mat2.identity()
+    for d in draw(st.lists(st.sampled_from([1, 2, 3]), max_size=200)):
+        m = m * DIGIT_MATRICES[d]
+    return surd_mobius(m, x)
+
+
+@st.composite
+def _arithmetic(draw) -> Surd:
+    shared = _radicand_surds(st.just(ZRt2(3, 1)))
+    x, y = draw(shared), draw(shared)
+    op = draw(st.sampled_from(["+", "-", "*", "/"]))
+    if op == "/":
+        assume(not y.is_zero())
+    return {"+": x.__add__, "-": x.__sub__, "*": x.__mul__, "/": x.__truediv__}[op](y)
+
+
+@st.composite
+def _huge(draw) -> Surd:
+    P, Q, S = (draw(st.builds(ZRt2, _HUGE, _HUGE)) for _ in range(3))
+    assume(not S.is_zero())
+    D = ZRt2(draw(st.integers(1, 10**400)), 0)
+    return Surd(P, Q, D, S)
+
+
+class TestOnePassEnclosure:
+    """Normal form leaves S a positive rational integer, however the surd is
+    built, so the enclosure divides once and needs no retry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_constructed(), _mobius_images(), _arithmetic(), _huge()),
+           st.sampled_from([12, 40, 46]))
+    def test_positive_integer_s_and_same_bounds(self, x, digits):
+        assert x.S.b == 0 and x.S.a > 0
+        assert x.enclosure(digits) == retry_enclosure(x, digits)
+
+    def test_corpus_and_deep_tails(self):
+        xs = [SURD17, *make_corpus(2, 10, 5), *_deep_tails()]
+        for x in xs:
+            assert x.enclosure(40) == retry_enclosure(x, 40)
+
+
 class TestQuadRoot:
     def test_factorable(self):
         assert quad_root(1, 0, -1, "+").cmp(1) == 0
@@ -565,6 +651,24 @@ class TestNumerics:
     def test_decimal(self):
         d = Surd.sqrt2().decimal(20)
         assert d.startswith("1.414213562373095")
+
+    def test_decimal_past_the_str_limit(self):
+        # 5,001-digit coefficients: int-to-str conversion refuses past 4,300.
+        n = 10**5000 + 3
+        q = QRt2(ZRt2(2 * n + 1, n), n)  # 2 + √2 + 1/n
+        assert q.decimal() == QRt2(ZRt2(2, 1), 1).decimal()
+        s = Surd(ZRt2(n + 1, 0), ZRt2(n, 0), ZRt2(3, 0), ZRt2(n, 0))  # 1 + √3 + 1/n
+        assert s.decimal() == Surd(ONE, ONE, ZRt2(3, 0), ONE).decimal()
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 10, 99, 300, 3000, 4300, 5000])
+    def test_digit_count(self, k):
+        digit_len = exact_field._digit_len
+        assert digit_len(10**k - 1, 0) == k
+        assert digit_len(10**k, -1) == k + 1
+        assert digit_len(-(10**k + 1)) == k + 1
+        for v in (2**k - 1, 2**k, 2**k + 1):  # at most 1,506 digits: str() accepts them
+            assert digit_len(v) == len(str(v))
+        assert digit_len(0) == 1
 
     def test_enclosure_is_tight(self):
         lo, hi = SURD17.enclosure(40)

@@ -89,13 +89,14 @@ def best_approximations(
     or the reversal is on the qualifying side of 1.  Its flags are read off
     that range, where it is a column of G_n: M_n·∞ is that column iff σ_n
     matches the side, N_n·∞ iff σ̃_n does, and common_witness asks for both
-    at one n.
+    at one n.  The walk raises CapExceeded past `cap` indices, and so does
+    a leading run of more than `cap` 3s.
     """
     if max_q is None and max_count is None:
         raise ValueError("need a denominator bound or a count")
     if max_count is not None and max_count < 1:
         raise ValueError(f"count must be at least 1, got {max_count}")
-    exp = source if isinstance(source, Expansion) else Expansion(source)
+    exp = source if isinstance(source, Expansion) else Expansion(source, cap)
     stop_q = None if max_q is None else ZRt2.of(max_q)
     m = exp.leading_threes()
 

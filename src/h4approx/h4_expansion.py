@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2
-from .hecke_group import DIGIT_MATRICES, DIGIT_MATRICES_INV, Mat2, T
+from .hecke_group import DIGIT_MATRICES_INV, Mat2, T, times_digit
 
 DEFAULT_CAP = 100_000  # walk indices, Gauss-map terms, digit scans, oracle denominators
 DEFAULT_PERIOD_CAP = 10_000  # period detection, which builds every tail
@@ -37,14 +37,8 @@ class Undecidable(RuntimeError):
     """A stream rule could not certify a digit question within the cap."""
 
 
-class InputInQH4(ValueError):
-    """Operation requires a value outside √2·Q."""
-
-
 class DigitStream:
     """Abstract digit source; digits are 1-indexed."""
-
-    kind = "abstract"
 
     def digit(self, n: int) -> int:
         raise NotImplementedError
@@ -73,7 +67,6 @@ class PeriodicStream(DigitStream):
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
-    kind = "eventually-periodic"
 
     def __post_init__(self) -> None:
         if not self.period:
@@ -105,7 +98,6 @@ class FiniteWord(DigitStream):
 
     digits: tuple[int, ...]
     boundary: str  # "inv_sqrt2" | "sqrt2"
-    kind = "finite"
 
     def digit(self, n: int) -> int:
         if n <= len(self.digits):
@@ -129,7 +121,6 @@ class RuleStream(DigitStream):
     name: str
     digit_fn: Callable[[int], int] = field(repr=False)
     non_two_fn: Callable[[int], int] | None = field(default=None, repr=False)
-    kind = "generated"
 
     def digit(self, n: int) -> int:
         return self.digit_fn(n)
@@ -258,7 +249,7 @@ class Expansion:
             try:
                 if self.stream is not None:
                     d = self.stream.digit(len(self._digits) + 1)
-                    g = self._mats[-1] * DIGIT_MATRICES[d]
+                    g = times_digit(self._mats[-1], d)
                 else:
                     d, g = self._surd_step(self._mats[-1])
             except Terminated as exc:
@@ -268,26 +259,25 @@ class Expansion:
             self._mats.append(g)
 
     def _surd_step(self, g: Mat2) -> tuple[int, Mat2]:
-        """The digit after G = G_n and G·A_d, from at most two signs: α_n
-        against 1/√2 is α(u + w√2) against t + v√2, and α_n against √2 is
-        α(u√2 + w) against t√2 + v.  A tie is a boundary, as in next_digit.
-        The compared pairs are the columns of G·A_d, which is built from
-        them."""
+        """The digit after G = G_n and G·A_d, from at most two signs.  The
+        new columns G·A1·∞ and G·A3·0 are the images of the boundaries 1/√2
+        and √2, so α_n against 1/√2 is α against the left column of G·A1,
+        and α_n against √2 is α against the right column of G·A3.  G·A2 is
+        exactly those two columns.  A tie is a boundary, as in next_digit."""
         assert self.alpha is not None
-        t, v, u, w = g.t, g.v, g.u, g.w
-        low_d, low_c = t + v.times_sqrt2(), u + w.times_sqrt2()
-        low = self.alpha.linear_sign(low_c, low_d)
+        g1 = times_digit(g, 1)
+        low = self.alpha.linear_sign(g1.u, g1.t)
         if low == 0:
             raise Terminated("inv_sqrt2")
         if low < 0:
-            return 1, Mat2(low_d, v, low_c, w)
-        high_d, high_c = t.times_sqrt2() + v, u.times_sqrt2() + w
-        high = self.alpha.linear_sign(high_c, high_d)
+            return 1, g1
+        g3 = times_digit(g, 3)
+        high = self.alpha.linear_sign(g3.w, g3.v)
         if high == 0:
             raise Terminated("sqrt2")
         if high < 0:
-            return 2, Mat2(high_d, low_d, high_c, low_c)
-        return 3, Mat2(t, high_d, u, high_c)
+            return 2, Mat2(g3.v, g1.t, g3.w, g1.u)
+        return 3, g3
 
     def digit(self, n: int) -> int:
         self._extend(n)
@@ -335,24 +325,18 @@ class Expansion:
         return m
 
     def tail_bounds(self, n: int, tol_digits: int = 30) -> tuple[QRt2, QRt2]:
-        """Exact rational-in-Q(√2) enclosure of α_n from a lookahead window:
-        the window's image of (0, ∞), nested until its width is below
-        10^-tol_digits.
-        """
-        tol = QRt2(ONE, 10**tol_digits)
+        """Exact rational-in-Q(√2) enclosure (v/w, t/u) of α_n: the image of
+        (0, ∞) under the lookahead window W = A_{d_{n+1}}···A_{d_k}, for the
+        first k where its width is below 10^-tol_digits.  det W = 1, so the
+        width t/u − v/w is 1/(u·w), and the window stops at u·w > 10^tol_digits.
+        The window reads at most `cap` digits."""
+        tol = 10**tol_digits
         w = Mat2.identity()
-        k = n
-        while True:
-            k += 1
-            if k - n > self.cap:
-                raise CapExceeded("tail enclosure did not converge")
-            w = w * DIGIT_MATRICES[self.digit(k)]
-            if w.u.is_zero():
-                continue
-            lo = QRt2.from_ratio(w.v, w.w)
-            hi = QRt2.from_ratio(w.t, w.u)
-            if (hi - lo).cmp(tol) < 0:
-                return lo, hi
+        for k in range(n + 1, n + self.cap + 1):
+            w = times_digit(w, self.digit(k))
+            if (w.u * w.w).cmp(tol) > 0:
+                return QRt2.from_ratio(w.v, w.w), QRt2.from_ratio(w.t, w.u)
+        raise CapExceeded("tail enclosure did not converge")
 
 
 def detect_period(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> DigitStream:

@@ -3,6 +3,8 @@
 The group is generated by translation by √2 and inversion.  Its boundary
 orbit of ∞ is √2·Q; every element has exactly one canonical fraction form
 p/q with (p odd integer, q = √2·c) or (p = √2·a, q odd integer).
+Every chain G_n = A_{d_1}···A_{d_n} advances by times_digit, which forms
+G·A_d from the columns of G; no walk multiplies two matrices.
 """
 
 from __future__ import annotations
@@ -96,6 +98,18 @@ DIGIT_MATRICES_INV = {d: m.inverse() for d, m in DIGIT_MATRICES.items()}
 
 # Digit involution: conjugation by J swaps the outer digits, JA_dJ = A_{d∨}.
 DIGIT_DUAL = {1: 3, 2: 2, 3: 1}
+
+
+def times_digit(g: Mat2, d: int) -> Mat2:
+    """G·A_d from the columns of G = [[t, v], [u, w]]: A1 adds √2 × right
+    to left, A3 adds √2 × left to right, and A2 sets the new left to
+    √2·left + right and the new right to left + √2·right."""
+    t, v, u, w = g.t, g.v, g.u, g.w
+    if d == 1:
+        return Mat2(t + v.times_sqrt2(), v, u + w.times_sqrt2(), w)
+    if d == 3:
+        return Mat2(t, t.times_sqrt2() + v, u, u.times_sqrt2() + w)
+    return Mat2(t.times_sqrt2() + v, t + v.times_sqrt2(), u.times_sqrt2() + w, u + w.times_sqrt2())
 
 
 def generators() -> dict[str, Mat2]:

@@ -14,7 +14,7 @@ from itertools import chain, islice
 from typing import Callable, Iterator
 
 from .exact_field import ONE, SQRT2, TWO, ZERO, Surd, ZRt2
-from .hecke_group import H4Fraction, J, Mat2, canonicalize_pair
+from .hecke_group import H4Fraction, Mat2, canonicalize_pair
 from .h4_expansion import DEFAULT_CAP, CapExceeded, Expansion, Source
 
 
@@ -151,17 +151,18 @@ def dual_flip(exp: Expansion, n: int, tail: int | None = None) -> bool:
 
 
 def select_M(exp: Expansion, n: int) -> Mat2:
-    """G_n when the reversal exceeds 1, else G_n·J; M_n·∞ is the interval
-    endpoint with the smaller denominator."""
+    """G_n when the reversal exceeds 1, else G_n·J, which is G_n with its
+    columns swapped; M_n·∞ is the interval endpoint with the smaller
+    denominator."""
     g = exp.matrix(n)
-    return g * J if rosen_flip(exp, n) else g
+    return Mat2(g.v, g.t, g.w, g.u) if rosen_flip(exp, n) else g
 
 
 def select_N(exp: Expansion, n: int, tail: int | None = None) -> Mat2:
-    """G_n when the tail exceeds 1 (ties broken by the reversal), else G_n·J;
-    `tail` as in dual_flip."""
+    """G_n when the tail exceeds 1 (ties broken by the reversal), else G_n·J,
+    G_n with its columns swapped; `tail` as in dual_flip."""
     g = exp.matrix(n)
-    return g * J if dual_flip(exp, n, tail) else g
+    return Mat2(g.v, g.t, g.w, g.u) if dual_flip(exp, n, tail) else g
 
 
 def selector_fractions(exp: Expansion, kind: str, n_max: int) -> list[H4Fraction]:

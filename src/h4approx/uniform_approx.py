@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact_field import ONE, SQRT2, QRt2, Surd, ZRt2, quad_root
-from .hecke_group import DIGIT_MATRICES, H4Fraction, Mat2, canonicalize_pair
+from .hecke_group import (
+    DIGIT_MATRICES, DIGIT_MATRICES_INV, H4Fraction, Mat2, canonicalize_pair, times_digit,
+)
 from .h4_expansion import (
     DEFAULT_CAP,
     DEFAULT_PERIOD_CAP,
@@ -86,10 +88,11 @@ def uniform_sequence(
     """First `count` records.  For exact inputs each value is computed both
     by case expression and directly from the fractions, asserted equal, and
     asserted to lie strictly in (1/2, (√2+1)/2).  The walk raises
-    CapExceeded past `cap` indices, as in best_approximations."""
+    CapExceeded past `cap` indices, as in best_approximations, and so do
+    the leading run of 3s and a stream's tail window."""
     if count < 0:
         raise ValueError(f"record count must not be negative, got {count}")
-    exp = source if isinstance(source, Expansion) else Expansion(source)
+    exp = source if isinstance(source, Expansion) else Expansion(source, cap)
     best = best_approximations(exp, max_count=count + 1, cap=cap)
     out: list[UniformRecord] = []
     for i, (cur, nxt) in enumerate(zip(best, best[1:]), start=1):
@@ -139,16 +142,11 @@ class KResult:
     records: tuple[UniformRecord, ...] = ()  # the sequence a numeric estimate reads
 
 
-def _word_matrix(word: tuple[int, ...]) -> Mat2:
-    m = Mat2.identity()
-    for d in word:
-        m = m * DIGIT_MATRICES[d]
-    return m
-
-
 def _attracting_fixed_point(word: tuple[int, ...]) -> Surd:
     """Positive fixed point of the word matrix: the value of [word^∞]."""
-    m = _word_matrix(word)
+    m = Mat2.identity()
+    for d in word:
+        m = times_digit(m, d)
     return quad_root(m.u, m.w - m.t, -m.v, "+")
 
 
@@ -172,21 +170,23 @@ def k_exact(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> KResult:
 
     Over one period, each qualifying transition's record value converges to
     its case expression evaluated at the exact phase tail and the attracting
-    fixed point of the reversed period word; the constant is the maximum."""
+    fixed point of the reversed period word; the constant is the maximum.
+    Phase j + 1 is one Möbius step from phase j: A_{π_j}⁻¹ on the tail, A_{π_j}
+    on the reversal limit.  All phase words share one discriminant, so each
+    step gives the normal form of that phase word's own fixed point."""
     stream = detect_period(alpha, cap)
     if not isinstance(stream, PeriodicStream):
         raise NonPeriodicInput("expansion terminates; no uniform constant")
     rho, pi = stream.preperiod, stream.period
-    P = len(pi)
+    an = _attracting_fixed_point(pi)
+    astar = _attracting_fixed_point(pi[::-1])
     phases: list[PhaseLimit] = []
-    for j in range(P):
-        forward = tuple(pi[(j + k) % P] for k in range(P))
-        backward = tuple(pi[(j - 1 - k) % P] for k in range(P))
-        an = _attracting_fixed_point(forward)
-        astar = _attracting_fixed_point(backward)
+    for j, d_next in enumerate(pi):
+        if j:
+            an = DIGIT_MATRICES_INV[pi[j - 1]].act(an)
+            astar = DIGIT_MATRICES[pi[j - 1]].act(astar)
         star = _eventual_star_sign(pi, j, rho)
         tail = an.cmp(1)
-        d_next = pi[j]
         if d_next != 3 and (tail > 0 or star > 0):
             case, _, _ = classify_transition("tu", star, tail, d_next)
             phases.append(PhaseLimit(j, "tu", case, case_value(case, an, astar)))

@@ -10,7 +10,7 @@ import pytest
 
 from h4approx.cli import make_corpus, parse_alpha, run, surd_to_json
 from h4approx.exact_field import Surd, ZRt2
-from h4approx.h4_expansion import RuleStream
+from h4approx.h4_expansion import Expansion, RuleStream
 
 
 def h4(*argv: str) -> subprocess.CompletedProcess:
@@ -296,6 +296,25 @@ class TestCountsAndBudgets:
         assert run(argv.split()) == 3
         captured = capsys.readouterr()
         assert "cap exceeded" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", [["best", "--count", "1"], ["k", "--numeric"]], ids=["best", "k"])
+    def test_leading_threes_respect_cap(self, command, monkeypatch, capsys):
+        """2,000,000 starts with over a million 3s: the run of leading 3s
+        counts against the cap, so at most cap + 1 digits are expanded."""
+        steps = 0
+        real_step = Expansion._surd_step
+
+        def counted_step(self, g):
+            nonlocal steps
+            steps += 1
+            return real_step(self, g)
+
+        monkeypatch.setattr(Expansion, "_surd_step", counted_step)
+        big = '{"P":[2000000,0],"Q":[0,0],"D":[1,0],"S":[1,0]}'
+        assert run([*command, "--alpha", big, "--cap-iterations", "10"]) == 3
+        captured = capsys.readouterr()
+        assert "leading 3 digits" in captured.err and captured.out == ""
+        assert 0 < steps <= 11
 
     def test_period_digits_zero_is_a_bound(self, capsys):
         # surd17 has period 6: --digits 0 and 3 both trip, 6 does not.

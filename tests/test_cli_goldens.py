@@ -7,6 +7,8 @@ digests live in cli_goldens.json.  To re-record them after a deliberate,
 documented change of output:
 
     PYTHONPATH=src python3 tests/test_cli_goldens.py
+
+It prints each case whose digest it adds, changes or drops before writing.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ BRANCH_EXAMPLES = [
     "best --alpha surd17 --max-q 200",
     "dual-rosen --alpha surd17 --digits 6",
     "k --alpha surd17 --exact",
+    'k --alpha {"P":[16,-3],"Q":[0,0],"D":[1,0],"S":[4,0]} --exact',  # period 107
 ]
 FORMATS = ["text", "json", "csv"]
 CASES = [
@@ -110,5 +113,13 @@ def test_every_command_has_a_golden():
 
 if __name__ == "__main__":
     table = {case: run_digest(case) for case in CASES}
+    old = json.loads(GOLDENS_PATH.read_text(encoding="utf-8")) if GOLDENS_PATH.exists() else {}
+    for case in sorted(table.keys() | old.keys()):
+        if case not in old:
+            print(f"added:   {case}")
+        elif case not in table:
+            print(f"dropped: {case}")
+        elif table[case] != old[case]:
+            print(f"changed: {case}")
     GOLDENS_PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(table)} digests written to {GOLDENS_PATH.name}")

@@ -353,3 +353,42 @@ class TestNormalize:
     def test_sqrt2_integer_flagged(self):
         norm = normalize_alpha(Surd.of(ZRt2(0, 3)))
         assert norm.in_qh4 and norm.value.cmp(0) == 0
+
+
+def qrt2_width_tail_bounds(exp: Expansion, n: int, tol_digits: int) -> tuple[QRt2, QRt2]:
+    """The enclosure by its definition: the window's image of (0, ∞), built
+    as two Q(√2) bounds per digit until their difference is below
+    10^-tol_digits."""
+    tol = QRt2(ONE, 10**tol_digits)
+    w = Mat2.identity()
+    k = n
+    while True:
+        k += 1
+        w = w * DIGIT_MATRICES[exp.digit(k)]
+        if w.u.is_zero():
+            continue
+        lo, hi = QRt2.from_ratio(w.v, w.w), QRt2.from_ratio(w.t, w.u)
+        if (hi - lo).cmp(tol) < 0:
+            return lo, hi
+
+
+class TestTailBoundsWidth:
+    """det W = 1 makes the window's width 1/(u·w); stopping on u·w gives
+    the same window and bounds as subtracting the two bounds."""
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            four_blocks_stream(),
+            three_powers_stream(),
+            PeriodicStream((), (3, 2, 3, 1, 2, 1)),
+            PeriodicStream((1,), (2,)),
+            PeriodicStream((3, 3), (1, 1, 1, 1, 2, 3, 3, 3)),
+        ],
+        ids=lambda s: getattr(s, "name", None) or f"{s.preperiod}+{s.period}",
+    )
+    @pytest.mark.parametrize("tol_digits", [6, 12, 25])
+    def test_same_bounds_as_the_width_loop(self, stream, tol_digits):
+        exp = Expansion(stream)
+        for n in (0, 1, 2, 7, 30, 63, 64, 127, 200):
+            assert exp.tail_bounds(n, tol_digits) == qrt2_width_tail_bounds(exp, n, tol_digits)

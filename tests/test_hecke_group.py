@@ -27,6 +27,7 @@ from h4approx.hecke_group import (
     generators,
     membership,
     numerators_near,
+    times_digit,
 )
 
 
@@ -209,3 +210,38 @@ class TestBetweenTangentPairs:
             qsum = c + dd
             for f in oracle_between_fractions(m.t, m.u, m.v, m.w, 50):
                 assert f.q.cmp(qsum) >= 0
+
+
+ZRT2S = st.builds(ZRt2, st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30))
+
+
+class TestTimesDigit:
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(Mat2, ZRT2S, ZRT2S, ZRT2S, ZRT2S), st.sampled_from([1, 2, 3]))
+    def test_equals_the_matrix_product(self, g, d):
+        assert times_digit(g, d) == g * DIGIT_MATRICES[d]
+
+    def test_no_matrix_product_on_production_paths(self, monkeypatch):
+        """The walks, the tail window, the period phases and the selectors
+        advance G by times_digit alone: Mat2.__mul__ is never called."""
+        from h4approx.h4_expansion import Expansion, four_blocks_stream
+        from h4approx.rosen_cf import rosen_convergents
+        from h4approx.uniform_approx import k_exact, optimality_check
+
+        calls = 0
+        real_mul = Mat2.__mul__
+
+        def counted_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return real_mul(self, other)
+
+        surd17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))
+        monkeypatch.setattr(Mat2, "__mul__", counted_mul)
+        assert A1 * A3 == real_mul(A1, A3) and calls == 1  # the patch is live
+        calls = 0
+        Expansion(four_blocks_stream()).word(2000)
+        optimality_check("B", 3)
+        k_exact(surd17)
+        rosen_convergents(surd17, 8)
+        assert calls == 0

@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h4approx.best_approx import classify_transition
 from h4approx.exact_field import ONE, SQRT2, QRt2, Surd, ZRt2
+from h4approx.hecke_group import DIGIT_MATRICES, Mat2
 from h4approx.h4_expansion import Expansion, detect_period, three_powers_stream
 from h4approx.uniform_approx import (
     HALF,
     UPPER,
     KResult,
     NonPeriodicInput,
+    _eventual_star_sign,
+    case_value,
     dirichlet_sweep,
     dirichlet_witness,
     k_exact,
@@ -196,3 +200,65 @@ class TestKNumericFlag:
         res = k_numeric(three_powers_stream(), records=6, window=3)
         assert not res.certified and res.value is None
         assert 0.5 < res.estimate < 1.3
+
+
+def per_phase_word_rows(alpha: Surd):
+    """k_exact's value key and phase rows with every phase's tail and
+    reversal limit taken as the fixed points of that phase's own forward
+    and backward period words, each word a product of its letters."""
+    stream = detect_period(alpha)
+    rho, pi = stream.preperiod, stream.period
+    P = len(pi)
+    rows = []
+    for j in range(P):
+        an = random_periodic_surd([pi[(j + k) % P] for k in range(P)])
+        astar = random_periodic_surd([pi[(j - 1 - k) % P] for k in range(P)])
+        star, tail, d_next = _eventual_star_sign(pi, j, rho), an.cmp(1), pi[j]
+        for side, skip, qualifies in (("tu", 3, tail > 0 or star > 0), ("vw", 1, tail < 0 or star < 0)):
+            if d_next != skip and qualifies:
+                case, _, _ = classify_transition(side, star, tail, d_next)
+                rows.append((j, side, case, case_value(case, an, astar)))
+    k = rows[0][3]
+    for row in rows[1:]:
+        if row[3].cmp(k) > 0:
+            k = row[3]
+    return k.key(), tuple((j, side, case, v.key()) for j, side, case, v in rows)
+
+
+def k_exact_rows(alpha: Surd):
+    res = k_exact(alpha)
+    assert res.value is not None
+    return res.value.key(), tuple((p.phase, p.side, p.case, p.value.key()) for p in res.phases)
+
+
+class TestKExactPhaseSteps:
+    """One Möbius step per phase gives the same surds, key for key, as the
+    fixed points of every phase's own period words."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.sampled_from([1, 2, 3]), max_size=4),
+        st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=7),
+    )
+    def test_random_words(self, pre, period):
+        x = random_periodic_surd(period)
+        if x is None:
+            return
+        m = Mat2.identity()
+        for d in pre:
+            m = m * DIGIT_MATRICES[d]
+        alpha = m.act(x)
+        assert k_exact_rows(alpha) == per_phase_word_rows(alpha)
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            '{"P":[16,-3],"Q":[0,0],"D":[1,0],"S":[4,0]}',  # period 107
+            '{"P":[52,14],"Q":[0,0],"D":[1,0],"S":[7,0]}',  # period 369
+        ],
+    )
+    def test_long_periods(self, literal):
+        from h4approx.cli import parse_alpha
+
+        alpha = parse_alpha(literal)
+        assert k_exact_rows(alpha) == per_phase_word_rows(alpha)

@@ -106,8 +106,7 @@ def best_approximations(
     ranges = {"tu": (m + 1, False, False, False), "vw": (m + 1, False, False, False)}
     for n in range(m + 1, cap + 1):
         g = exp.matrix(n)
-        tail = exp.tail_cmp_one(n)  # the one exact predicate of this index
-        sigma, dual_sigma = rosen_flip(exp, n), dual_flip(exp, n, tail)
+        sigma, dual_sigma = rosen_flip(exp, n), dual_flip(exp, n)
         d_next = exp.digit(n + 1)
         # t/u is fixed under A3, v/w under A1; the flipped selector is G_n·J.
         for side, flipped, stay, col in (("tu", False, 3, (g.t, g.u)), ("vw", True, 1, (g.v, g.w))):

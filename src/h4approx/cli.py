@@ -81,7 +81,7 @@ def surd_from_json(obj: Any) -> Surd:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(c, int) for c in pair)
+            or not all(type(c) is int for c in pair)  # JSON true/false are bools, not integers
         ):
             raise ParseError(f"{key} must be a pair of integers")
         parts[key] = ZRt2(pair[0], pair[1])

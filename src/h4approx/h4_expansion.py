@@ -18,6 +18,7 @@ from .hecke_group import DIGIT_MATRICES_INV, Mat2, T, times_digit
 
 DEFAULT_CAP = 100_000  # walk indices, Gauss-map terms, digit scans, oracle denominators
 DEFAULT_PERIOD_CAP = 10_000  # period detection, which builds every tail
+_OUTER_SIGN = {1: -1, 3: 1}  # sign(A_d·x − 1) for every x in (0, ∞]
 
 
 class Terminated(Exception):
@@ -217,15 +218,18 @@ class Expansion:
 
     Digits and matrices are cached as the walk advances; a surd backend
     keeps only α besides them and builds tails on demand from G_n.  Since
-    G_n is increasing on (0, ∞), α_n < x ⟺ α < G_n·x, so every digit and
-    tail sign is one exact predicate α.linear_sign(c, d) with c, d in Z[√2].
-    Emitted values are immutable and safe to share.
+    G_n is increasing on (0, ∞), α_n < x ⟺ α < G_n·x, so every digit is one
+    exact predicate α.linear_sign(c, d) with c, d in Z[√2].  The digit word
+    decides where α_n and α*_n lie against 1: A1 maps (0, ∞] into (0, 1/√2],
+    A3 into [√2, ∞], and A2 fixes 1 and is increasing.  Emitted values are
+    immutable and safe to share.
     """
 
     def __init__(self, source: Source, cap: int = DEFAULT_CAP):
         self.cap = cap
         self._digits: list[int] = []
         self._mats: list[Mat2] = [Mat2.identity()]
+        self._stars: list[int] = [1]  # sign(α*_n − 1); α*_0 = ∞
         self._boundary: str | None = None
         if isinstance(source, Surd):
             if source.sign() <= 0:
@@ -249,6 +253,8 @@ class Expansion:
             try:
                 if self.stream is not None:
                     d = self.stream.digit(len(self._digits) + 1)
+                    if d not in (1, 2, 3):
+                        raise ValueError(f"digit {d!r} at index {len(self._digits) + 1} is not 1, 2 or 3")
                     g = times_digit(self._mats[-1], d)
                 else:
                     d, g = self._surd_step(self._mats[-1])
@@ -257,6 +263,7 @@ class Expansion:
                 continue
             self._digits.append(d)
             self._mats.append(g)
+            self._stars.append(_OUTER_SIGN.get(d, self._stars[-1]))
 
     def _surd_step(self, g: Mat2) -> tuple[int, Mat2]:
         """The digit after G = G_n and G·A_d, from at most two signs.  The
@@ -299,22 +306,29 @@ class Expansion:
         return self.matrix(n).inverse().act(self.alpha)
 
     def tail_cmp_one(self, n: int) -> int:
-        """Exact sign of α_n − 1: α(u + w) against t + v on surd backends,
-        combinatorial on stream backends: digit maps are increasing, so the
-        first non-2 digit after n decides."""
+        """Exact sign of α_n − 1, α_n = A_{d_{n+1}}·α_{n+1}.  A1 maps (0, ∞] into
+        (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is increasing, so only
+        after a 2, or at the end of a √2·Q value, is the backend asked: α(u + w)
+        against t + v on a surd, the next digit other than 2 on a stream."""
+        g = self.matrix(n)
+        try:
+            sign = _OUTER_SIGN.get(self.digit(n + 1))
+        except Terminated:  # G_n exists, so the expansion ends at n + 1
+            sign = None
+        if sign is not None:
+            return sign
         if self.alpha is not None:
-            g = self.matrix(n)
             return self.alpha.linear_sign(g.u + g.w, g.t + g.v)
         assert self.stream is not None
         k = self.stream.next_non_two(n, self.cap)
-        if k is None:
-            return 0
-        return 1 if self.stream.digit(k) == 3 else -1
+        return 0 if k is None else _OUTER_SIGN[self.stream.digit(k)]
 
     def star_cmp_one(self, n: int) -> int:
-        """Sign of α*_n − 1 = w_n/u_n − 1; u_n = 0 counts as ∞ > 1."""
-        g = self.matrix(n)
-        return (g.w - g.u).sign()
+        """Sign of α*_n − 1, α*_n = w_n/u_n = A_{d_n}···A_{d_1}·∞, kept as the
+        digits arrive: A1 maps (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2
+        fixes 1 and is increasing, so the last digit other than 2 decides."""
+        self._extend(n)
+        return self._stars[n]
 
     def leading_threes(self) -> int:
         m = 0

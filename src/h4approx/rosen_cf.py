@@ -138,15 +138,14 @@ def dual_rosen_digits(alpha: Surd, n_terms: int, cap: int = DEFAULT_CAP) -> CFEx
 
 def rosen_flip(exp: Expansion, n: int) -> bool:
     """σ_n: the reversal α*_n is below 1 (it never equals 1)."""
-    star = exp.star_cmp_one(n)
-    assert star != 0, "reversal value 1 cannot occur"
-    return star < 0
+    return exp.star_cmp_one(n) < 0
 
 
-def dual_flip(exp: Expansion, n: int, tail: int | None = None) -> bool:
-    """σ̃_n: the tail α_n is below 1, ties broken by the reversal.  `tail`
-    is sign(α_n − 1) when the caller already holds it."""
-    t = exp.tail_cmp_one(n) if tail is None else tail
+def dual_flip(exp: Expansion, n: int) -> bool:
+    """σ̃_n: the tail α_n is below 1, ties broken by the reversal.  A1 maps
+    (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is
+    increasing, so the digit word gives both signs, bar a next digit 2."""
+    t = exp.tail_cmp_one(n)
     return t < 0 or (t == 0 and exp.star_cmp_one(n) < 0)
 
 
@@ -158,11 +157,12 @@ def select_M(exp: Expansion, n: int) -> Mat2:
     return Mat2(g.v, g.t, g.w, g.u) if rosen_flip(exp, n) else g
 
 
-def select_N(exp: Expansion, n: int, tail: int | None = None) -> Mat2:
+def select_N(exp: Expansion, n: int) -> Mat2:
     """G_n when the tail exceeds 1 (ties broken by the reversal), else G_n·J,
-    G_n with its columns swapped; `tail` as in dual_flip."""
+    G_n with its columns swapped; as in dual_flip, A1 maps (0, ∞] into
+    (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is increasing."""
     g = exp.matrix(n)
-    return Mat2(g.v, g.t, g.w, g.u) if dual_flip(exp, n, tail) else g
+    return Mat2(g.v, g.t, g.w, g.u) if dual_flip(exp, n) else g
 
 
 def selector_fractions(exp: Expansion, kind: str, n_max: int) -> list[H4Fraction]:

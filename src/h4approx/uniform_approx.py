@@ -150,21 +150,6 @@ def _attracting_fixed_point(word: tuple[int, ...]) -> Surd:
     return quad_root(m.u, m.w - m.t, -m.v, "+")
 
 
-def _eventual_star_sign(pi: tuple[int, ...], j: int, rho: tuple[int, ...]) -> int:
-    """Sign of α*_n − 1 for large n in phase j: first non-2 digit reading the
-    expansion word backwards from position n (period, then preperiod, then
-    the implicit 3-tail)."""
-    P = len(pi)
-    for k in range(1, P + 1):
-        d = pi[(j - k) % P]
-        if d != 2:
-            return 1 if d == 3 else -1
-    for d in reversed(rho):
-        if d != 2:
-            return 1 if d == 3 else -1
-    return 1
-
-
 def k_exact(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> KResult:
     """Exact uniform constant via per-phase limits of the record values.
 
@@ -173,11 +158,14 @@ def k_exact(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> KResult:
     fixed point of the reversed period word; the constant is the maximum.
     Phase j + 1 is one Möbius step from phase j: A_{π_j}⁻¹ on the tail, A_{π_j}
     on the reversal limit.  All phase words share one discriminant, so each
-    step gives the normal form of that phase word's own fixed point."""
+    step gives the normal form of that phase word's own fixed point.  Phase
+    j's signs against 1 are the digit word's at index len(ρ) + P + j: A1 maps
+    (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is increasing."""
     stream = detect_period(alpha, cap)
     if not isinstance(stream, PeriodicStream):
         raise NonPeriodicInput("expansion terminates; no uniform constant")
-    rho, pi = stream.preperiod, stream.period
+    pi, signs = stream.period, Expansion(stream)
+    base = len(stream.preperiod) + len(pi)
     an = _attracting_fixed_point(pi)
     astar = _attracting_fixed_point(pi[::-1])
     phases: list[PhaseLimit] = []
@@ -185,14 +173,11 @@ def k_exact(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> KResult:
         if j:
             an = DIGIT_MATRICES_INV[pi[j - 1]].act(an)
             astar = DIGIT_MATRICES[pi[j - 1]].act(astar)
-        star = _eventual_star_sign(pi, j, rho)
-        tail = an.cmp(1)
-        if d_next != 3 and (tail > 0 or star > 0):
-            case, _, _ = classify_transition("tu", star, tail, d_next)
-            phases.append(PhaseLimit(j, "tu", case, case_value(case, an, astar)))
-        if d_next != 1 and (tail < 0 or star < 0):
-            case, _, _ = classify_transition("vw", star, tail, d_next)
-            phases.append(PhaseLimit(j, "vw", case, case_value(case, an, astar)))
+        star, tail = signs.star_cmp_one(base + j), signs.tail_cmp_one(base + j)
+        for side, stay, qualifies in (("tu", 3, tail > 0 or star > 0), ("vw", 1, tail < 0 or star < 0)):
+            if d_next != stay and qualifies:
+                case, _, _ = classify_transition(side, star, tail, d_next)
+                phases.append(PhaseLimit(j, side, case, case_value(case, an, astar)))
     assert phases, "a periodic expansion has infinitely many best approximations"
     k = phases[0].value
     for ph in phases[1:]:

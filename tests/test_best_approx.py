@@ -252,29 +252,68 @@ class TestStreamBackend:
 
 
 class TestOnePredicatePerIndex:
-    def test_tail_sign_asked_once_per_walk_step(self):
+    def test_tail_sign_asked_once_per_walk_step(self, monkeypatch):
         """The walk reads sign(α_n − 1) once per index, for σ̃_n and both
         emission tests.  A step is an index n > m(α) whose G_n the walk
-        reads, however the step is computed."""
+        reads, however the step is computed.  Only a next digit 2 costs the
+        sign an exact predicate, and the reversal's sign costs no Z[√2]
+        arithmetic at all."""
+        import sys
+
         from h4approx.cli import make_corpus
 
         class Counting(Expansion):
-            calls = 0
+            asked: list[int] = []
             read: set[int] = set()
+            inside_tail = False
 
             def tail_cmp_one(self, n: int) -> int:
-                Counting.calls += 1
-                return super().tail_cmp_one(n)
+                Counting.asked.append(n)
+                Counting.inside_tail = True
+                try:
+                    return super().tail_cmp_one(n)
+                finally:
+                    Counting.inside_tail = False
 
             def matrix(self, n: int) -> Mat2:
                 Counting.read.add(n)
                 return super().matrix(n)
 
+        predicates = []
+        linear_sign = Surd.linear_sign
+
+        def counting(self, c, d):
+            if Counting.inside_tail:
+                predicates.append(1)
+            return linear_sign(self, c, d)
+
         exp = Counting(make_corpus(1, 5, 5)[3])
         best = best_approximations(exp, max_count=1000)
         steps = sum(1 for n in Counting.read if n > exp.leading_threes())
         assert len(best) == 1000
-        assert Counting.calls <= steps + len(best)
+        assert len(Counting.asked) <= steps + len(best)
+
+        # Walk again over the digits now cached, so that every predicate
+        # counted is a tail sign, not a new digit.
+        Counting.asked.clear()
+        monkeypatch.setattr(Surd, "linear_sign", counting)
+        assert best_approximations(exp, max_count=1000) == best
+        before_two = sum(1 for n in Counting.asked if exp.digit(n + 1) == 2)
+        assert len(predicates) == before_two == 384
+
+        exact_field_calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.endswith("exact_field.py"):
+                exact_field_calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            for n in sorted(Counting.read):
+                exp.star_cmp_one(n)
+        finally:
+            sys.setprofile(None)
+        assert exact_field_calls == []
 
 
 class TestFlagsFromDefinitions:

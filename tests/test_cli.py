@@ -43,6 +43,9 @@ class TestParseAlpha:
             parse_alpha('{"P":[3,0]}')
         with pytest.raises(ParseError):
             parse_alpha("nonsense")
+        # JSON true and false are not integers, though Python's bool is an int.
+        with pytest.raises(ParseError, match="P must be a pair of integers"):
+            parse_alpha('{"P":[true,false],"Q":[false,false],"D":[true,false],"S":[true,false]}')
 
     def test_rejects_invalid_surd(self):
         from h4approx.cli import ValidationError

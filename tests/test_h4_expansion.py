@@ -12,6 +12,7 @@ from h4approx.h4_expansion import (
     Expansion,
     FiniteWord,
     PeriodicStream,
+    RuleStream,
     Terminated,
     detect_period,
     four_blocks_stream,
@@ -19,6 +20,7 @@ from h4approx.h4_expansion import (
     normalize_alpha,
     three_powers_stream,
 )
+from tests.test_rosen_cf import random_periodic_surd
 
 SURD17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))  # (3+√17)/(2√2)
 INV_SQRT2 = Surd.from_ratio(ONE, SQRT2)
@@ -330,6 +332,116 @@ class TestPredicateEngine:
             exp.tail_cmp_one(n)
             exp.star_cmp_one(n)
         assert len(built) == 0
+
+
+def _window_tail_sign(exp: Expansion, n: int) -> int:
+    """sign(α_n − 1) from the matrices alone: the window W = A_{d_{n+1}}···A_{d_k}
+    maps (0, ∞) onto an interval holding α_n, and the first k where W·0 and
+    W·∞ lie on one side of 1 decides."""
+    w = Mat2.identity()
+    for k in range(n + 1, n + 10_000):
+        w = w * DIGIT_MATRICES[exp.digit(k)]
+        low, high = (w.v - w.w).sign(), (w.t - w.u).sign()
+        if low == high != 0:
+            return low
+    raise AssertionError("window never left 1")
+
+
+def _periodic_value(stream: PeriodicStream) -> Surd:
+    """The value of an eventually periodic word: G_ρ applied to [π^∞]."""
+    g = Mat2.identity()
+    for d in stream.preperiod:
+        g = g * DIGIT_MATRICES[d]
+    return g.act(random_periodic_surd(list(stream.period)))
+
+
+class TestSignsFromDigits:
+    """star_cmp_one and tail_cmp_one read off the digit word, against the
+    routes that do not: sign(w_n − u_n) of G_n for the reversal, and the
+    next_digit chain's tail.cmp(1), or the lookahead window, for the tail."""
+
+    N = 300
+
+    def check_against_chain(self, exp: Expansion, alpha: Surd) -> int:
+        """Both signs for n = 0..N or up to the boundary index; returns the
+        last index checked."""
+        steps, boundary = _chain(alpha, self.N)
+        tails = [alpha] + [tail for _, tail in steps]
+        for n, tail in enumerate(tails):
+            g = exp.matrix(n)
+            assert exp.star_cmp_one(n) == (g.w - g.u).sign(), n
+            assert exp.tail_cmp_one(n) == tail.cmp(1), n
+        if boundary is not None:
+            for query in (exp.matrix, exp.tail_cmp_one, exp.star_cmp_one):
+                with pytest.raises(Terminated) as info:
+                    query(len(steps) + 1)
+                assert (info.value.boundary, info.value.length) == (boundary, len(steps))
+        return len(tails) - 1
+
+    def test_corpus(self):
+        from h4approx.cli import make_corpus
+
+        for alpha in make_corpus(1, 20, 5):
+            assert self.check_against_chain(Expansion(alpha), alpha) == self.N
+
+    def test_one_is_an_all_two_tail(self):
+        exp = Expansion(Surd.of(1))
+        self.check_against_chain(exp, Surd.of(1))
+        assert {exp.tail_cmp_one(n) for n in range(self.N)} == {0}
+        assert {exp.star_cmp_one(n) for n in range(self.N)} == {1}
+
+    def test_sqrt2_rationals_up_to_the_boundary(self):
+        for a in range(1, 10):
+            for b in range(1, 10):
+                for alpha in (
+                    Surd.from_ratio(ZRt2(0, a), ZRt2(b, 0)),  # a√2/b
+                    Surd.from_ratio(ZRt2(a, 0), ZRt2(0, b)),  # a/(b√2)
+                ):
+                    exp = Expansion(alpha)
+                    assert self.check_against_chain(exp, alpha) == exp.terminated_length
+
+    @pytest.mark.parametrize(
+        "stream",
+        [PeriodicStream((), (2,)), PeriodicStream((3, 1), (2,)), PeriodicStream((2, 2), (1, 2))],
+        ids=lambda s: f"{s.preperiod}+{s.period}",
+    )
+    def test_periodic_streams(self, stream):
+        alpha = _periodic_value(stream)
+        assert Expansion(alpha).word(20) == Expansion(stream).word(20)
+        assert self.check_against_chain(Expansion(stream), alpha) == self.N
+
+    @pytest.mark.parametrize("stream", [four_blocks_stream(), three_powers_stream()], ids=lambda s: s.name)
+    def test_rule_streams(self, stream):
+        exp = Expansion(stream)
+        for n in range(self.N + 1):
+            g = exp.matrix(n)
+            assert exp.star_cmp_one(n) == (g.w - g.u).sign(), n
+            assert exp.tail_cmp_one(n) == _window_tail_sign(exp, n), n
+
+
+class TestStreamDigitsChecked:
+    """A stream digit outside {1, 2, 3} is refused where it is read, not
+    taken as a 2."""
+
+    @pytest.mark.parametrize(
+        "stream, index, digit",
+        [
+            (PeriodicStream((1, 3), (2, 2, 4)), 5, 4),
+            (RuleStream("zero-at-seven", lambda n: 0 if n == 7 else 2), 7, 0),
+        ],
+        ids=["periodic", "rule"],
+    )
+    def test_raises_at_first_bad_index(self, stream, index, digit):
+        exp = Expansion(stream)
+        assert len(exp.word(index - 1)) == index - 1
+        with pytest.raises(ValueError, match=f"digit {digit} at index {index}"):
+            exp.word(index)
+
+    def test_walk_refuses_a_bad_period(self):
+        from h4approx.best_approx import best_approximations
+
+        with pytest.raises(ValueError, match="digit 7 at index 1"):
+            best_approximations(PeriodicStream((), (7,)), max_count=3)
 
 
 class TestNormalize:

@@ -15,7 +15,6 @@ from h4approx.uniform_approx import (
     UPPER,
     KResult,
     NonPeriodicInput,
-    _eventual_star_sign,
     case_value,
     dirichlet_sweep,
     dirichlet_witness,
@@ -200,6 +199,21 @@ class TestKNumericFlag:
         res = k_numeric(three_powers_stream(), records=6, window=3)
         assert not res.certified and res.value is None
         assert 0.5 < res.estimate < 1.3
+
+
+def _eventual_star_sign(pi: tuple[int, ...], j: int, rho: tuple[int, ...]) -> int:
+    """Sign of α*_n − 1 for large n in phase j: first non-2 digit reading the
+    expansion word backwards from position n (period, then preperiod, then
+    the implicit 3-tail)."""
+    P = len(pi)
+    for k in range(1, P + 1):
+        d = pi[(j - k) % P]
+        if d != 2:
+            return 1 if d == 3 else -1
+    for d in reversed(rho):
+        if d != 2:
+            return 1 if d == 3 else -1
+    return 1
 
 
 def per_phase_word_rows(alpha: Surd):

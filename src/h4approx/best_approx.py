@@ -10,14 +10,15 @@ same sequence; the acceptance suite requires them to agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
-from .exact_field import Surd, ZRt2
+from .exact_field import Surd, ZRt2, zrt2_sign
 from .hecke_group import (
     H4Fraction,
     canonicalize,
     canonicalize_pair,
+    column_fraction,
     denominator_ladder,
+    denominator_sq,
     numerators_near,
 )
 from .h4_expansion import DEFAULT_CAP, CapExceeded, Expansion, Source
@@ -89,27 +90,36 @@ def best_approximations(
     or the reversal is on the qualifying side of 1.  Its flags are read off
     that range, where it is a column of G_n: M_n·∞ is that column iff σ_n
     matches the side, N_n·∞ iff σ̃_n does, and common_witness asks for both
-    at one n.  The walk raises CapExceeded past `cap` indices, and so does
-    a leading run of more than `cap` 3s.
+    at one n.  The walk reads the integer state of G_n: a column's
+    canonical fraction is its structure, and denominators are compared by
+    their squares, which are integers.  The walk raises CapExceeded past
+    `cap` indices, and so does a leading run of more than `cap` 3s.
     """
     if max_q is None and max_count is None:
         raise ValueError("need a denominator bound or a count")
     if max_count is not None and max_count < 1:
         raise ValueError(f"count must be at least 1, got {max_count}")
     exp = source if isinstance(source, Expansion) else Expansion(source, cap)
-    stop_q = None if max_q is None else ZRt2.of(max_q)
+    stop = None  # (a, b) with max_q² = a + b√2, or (0, 0) when no q > 0 is within max_q
+    if max_q is not None:
+        bound = ZRt2.of(max_q)
+        stop = (bound * bound).pair() if bound.sign() > 0 else (0, 0)
+
+    def past_stop(q_sq: int) -> bool:  # q > max_q, for q > 0 given by q²
+        return zrt2_sign(q_sq - stop[0], -stop[1]) > 0
+
     m = exp.leading_threes()
 
-    emissions: list[tuple[str, int, int, H4Fraction, bool, bool, bool]] = []
+    emissions: list[tuple[str, int, int, int, H4Fraction, bool, bool, bool]] = []
     # Per side: the open range's first index and, so far on it, whether
     # M_n·∞, N_n·∞, or both at one n, were its column.
     ranges = {"tu": (m + 1, False, False, False), "vw": (m + 1, False, False, False)}
     for n in range(m + 1, cap + 1):
-        g = exp.matrix(n)
+        g = exp.state(n)
         sigma, dual_sigma = rosen_flip(exp, n), dual_flip(exp, n)
         d_next = exp.digit(n + 1)
         # t/u is fixed under A3, v/w under A1; the flipped selector is G_n·J.
-        for side, flipped, stay, col in (("tu", False, 3, (g.t, g.u)), ("vw", True, 1, (g.v, g.w))):
+        for side, flipped, stay in (("tu", False, 3), ("vw", True, 1)):
             start, rosen, dual, both = ranges[side]
             rosen_n, dual_n = sigma == flipped, dual_sigma == flipped
             ranges[side] = (start, rosen or rosen_n, dual or dual_n, both or (rosen_n and dual_n))
@@ -118,17 +128,18 @@ def best_approximations(
             # At the last index, the tail or the reversal qualifies iff
             # M_n·∞ or N_n·∞ is this column.
             if rosen_n or dual_n:
-                emissions.append((side, start, n, canonicalize_pair(*col), *ranges[side][1:]))
+                emissions.append(
+                    (side, start, n, denominator_sq(g, side), column_fraction(g, side), *ranges[side][1:])
+                )
             ranges[side] = (n + 1, False, False, False)
-        low = g.w if sigma else g.u  # the smaller denominator: w_n < u_n iff σ_n
-        if stop_q is not None:
-            if low.cmp(stop_q) > 0:
+        # The smaller denominator: w_n < u_n iff σ_n.
+        low_sq = denominator_sq(g, "vw" if sigma else "tu")
+        if stop is not None:
+            if past_stop(low_sq):
                 break
         elif len(emissions) >= max_count:
-            kth = sorted(
-                (e[3].q for e in emissions), key=cmp_to_key(ZRt2.cmp)
-            )[max_count - 1]
-            if low.cmp(kth) > 0:
+            kth_sq = sorted(e[3] for e in emissions)[max_count - 1]
+            if low_sq > kth_sq:
                 break
     else:
         raise CapExceeded(f"enumeration did not finish within {cap} steps")
@@ -137,15 +148,15 @@ def best_approximations(
     # which is a dual convergent only when the two first digits coincide.
     rosen0, dual0 = canonicalize(_rosen_a0(exp), 1), canonicalize(_dual_a0(exp), 1)
 
-    emissions.sort(key=cmp_to_key(lambda x, y: x[3].q.cmp(y[3].q)))
+    emissions.sort(key=lambda e: e[3])
     out: list[BestApprox] = []
-    prev_q: ZRt2 | None = None
+    prev_q_sq: int | None = None
     prev: tuple[ZRt2, ZRt2] | None = None  # the previous record's (sq, sp)
     alpha = exp.alpha
-    for side, n1, n2, frac, is_rosen, is_dual, both in emissions:
-        if stop_q is not None and frac.q.cmp(stop_q) > 0:
+    for side, n1, n2, q_sq, frac, is_rosen, is_dual, both in emissions:
+        if stop is not None and past_stop(q_sq):
             continue
-        assert prev_q is None or prev_q.cmp(frac.q) < 0, "denominators must increase"
+        assert prev_q_sq is None or prev_q_sq < q_sq, "denominators must increase"
         err = None
         if alpha is not None:
             sq, sp = _signed(alpha, frac.q, frac.p)
@@ -154,7 +165,7 @@ def best_approximations(
             prev = (sq, sp)
             # |q·α − p| = α·sq − sp, built once as (P·sq − sp·S + Q·sq·√D)/S.
             err = Surd(alpha.P * sq - sp * alpha.S, alpha.Q * sq, alpha.D, alpha.S)
-        prev_q = frac.q
+        prev_q_sq = q_sq
         is_dual = frac == dual0 or (is_dual and frac != rosen0)
         common = is_rosen and is_dual and both
         out.append(BestApprox(frac, side, n1, n2, is_rosen, is_dual, common, err))

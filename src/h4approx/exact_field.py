@@ -37,6 +37,18 @@ def _content(*values: int) -> int:
     return g
 
 
+def zrt2_sign(a: int, b: int) -> int:
+    """Exact sign of a + b√2 for plain ints a, b."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    # Signs differ: compare a^2 with 2b^2.
+    t = a * a - 2 * b * b
+    s = 1 if a > 0 else -1
+    return s if t > 0 else (-s if t < 0 else 0)
+
+
 @dataclass(frozen=True, slots=True)
 class ZRt2:
     """a + b√2 with arbitrary-precision integers; the representation is unique."""
@@ -53,13 +65,13 @@ class ZRt2:
         raise TypeError(f"cannot interpret {x!r} as an element of Z[sqrt2]")
 
     def __add__(self, other: int | ZRt2) -> ZRt2:
-        o = ZRt2.of(other)
+        o = other if isinstance(other, ZRt2) else ZRt2.of(other)
         return ZRt2(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __sub__(self, other: int | ZRt2) -> ZRt2:
-        o = ZRt2.of(other)
+        o = other if isinstance(other, ZRt2) else ZRt2.of(other)
         return ZRt2(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other: int | ZRt2) -> ZRt2:
@@ -69,13 +81,10 @@ class ZRt2:
         return ZRt2(-self.a, -self.b)
 
     def __mul__(self, other: int | ZRt2) -> ZRt2:
-        o = ZRt2.of(other)
+        o = other if isinstance(other, ZRt2) else ZRt2.of(other)
         return ZRt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
-
-    def times_sqrt2(self) -> ZRt2:
-        return ZRt2(2 * self.b, self.a)
 
     def __pow__(self, n: int) -> ZRt2:
         if n < 0:
@@ -99,17 +108,7 @@ class ZRt2:
         return self.a == 0 and self.b == 0
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # Signs differ: compare a^2 with 2b^2.
-        t = a * a - 2 * b * b
-        s = 1 if a > 0 else -1
-        return s if t > 0 else (-s if t < 0 else 0)
+        return zrt2_sign(self.a, self.b)
 
     def divexact(self, g: int) -> ZRt2:
         if self.a % g or self.b % g:
@@ -331,16 +330,25 @@ def _render_decimal(bounds: _Iv, digits: int) -> str:
         return str(Decimal(mid.numerator) / Decimal(mid.denominator))
 
 
-def root_sign(X: ZRt2, Y: ZRt2, D: ZRt2) -> int:
-    """Exact sign of X + Y√D for a positive radicand D: the one sign kernel
-    behind every surd sign and comparison.  The squaring step
+def _root_sign(xa: int, xb: int, ya: int, yb: int, da: int, db: int, sy: int) -> int:
+    """Exact sign of X + Y√D for X = xa + xb√2, Y = ya + yb√2, a positive
+    radicand D = da + db√2 and sy = sign(Y), all plain ints: the one sign
+    kernel behind every surd sign and comparison.  The squaring step
     sign(X² − Y²D) runs only when X and Y have opposite signs."""
-    sx, sy = X.sign(), Y.sign()
+    sx = zrt2_sign(xa, xb)
     if sy == 0 or sx == sy:
         return sx
     if sx == 0:
         return sy
-    return sx * (X * X - Y * Y * D).sign()
+    # X² = x2a + x2b√2 and Y² = y2a + y2b√2.
+    x2a, x2b = xa * xa + 2 * xb * xb, 2 * xa * xb
+    y2a, y2b = ya * ya + 2 * yb * yb, 2 * ya * yb
+    return sx * zrt2_sign(x2a - y2a * da - 2 * y2b * db, x2b - y2a * db - y2b * da)
+
+
+def root_sign(X: ZRt2, Y: ZRt2, D: ZRt2) -> int:
+    """Exact sign of X + Y√D for a positive radicand D."""
+    return _root_sign(X.a, X.b, Y.a, Y.b, D.a, D.b, Y.sign())
 
 
 def _floor_seed(X: ZRt2, Y: ZRt2, D: ZRt2, den: ZRt2) -> int:
@@ -493,8 +501,27 @@ class Surd:
 
     def linear_sign(self, c: ZRt2, d: ZRt2) -> int:
         """Exact sign of self·c − d for c, d in Z[√2], without building a
-        surd: with S > 0 it is the sign of (Pc − dS) + Qc·√D."""
-        return root_sign(self.P * c - d * self.S, self.Q * c, self.D)
+        surd: −sign(d) when c = 0, else sign(c) times linear_sign_ints of
+        sign(c)·c > 0 and sign(c)·d."""
+        sc = c.sign()
+        if sc == 0:
+            return -d.sign()
+        return sc * self.linear_sign_ints(sc * c.a, sc * c.b, sc * d.a, sc * d.b)
+
+    def linear_sign_ints(self, ca: int, cb: int, da: int, db: int) -> int:
+        """Exact sign of self·c − d for c = ca + cb√2 > 0 and d = da + db√2
+        given as plain ints.  With S > 0 it is the sign of X + Y√D for
+        X = Pc − dS and Y = Qc, and as c > 0, sign(Y) is sign(Q)."""
+        P, Q, D, s = self.P, self.Q, self.D, self.S.a
+        return _root_sign(
+            P.a * ca + 2 * P.b * cb - da * s,
+            P.a * cb + P.b * ca - db * s,
+            Q.a * ca + 2 * Q.b * cb,
+            Q.a * cb + Q.b * ca,
+            D.a,
+            D.b,
+            Q.sign(),
+        )
 
     def is_zero(self) -> bool:
         return self.sign() == 0
@@ -559,9 +586,10 @@ class Surd:
         S = self.S.a
         X, Y, D = self.P * c - e * self.S, self.Q * c, self.D
         ua, ub = u.a * S, u.b * S
+        sy = Y.sign()
 
         def ok(a: int) -> bool:
-            return root_sign(ZRt2(X.a - a * ua, X.b - a * ub), Y, D) >= 0
+            return _root_sign(X.a - a * ua, X.b - a * ub, Y.a, Y.b, D.a, D.b, sy) >= 0
 
         a = _floor_seed(X, Y, D, ZRt2(ua, ub))
         if ok(a):

@@ -4,21 +4,27 @@ and periodicity detection.
 
 Two interchangeable backends drive everything downstream: an exact surd
 (every digit and tail question is the sign of α·c − d with c, d read off
-G_n; tails on demand from G_n) and a symbolic digit stream (digits
-prescribed by a rule; tail questions answered combinatorially).
+the integer state of G_n; tails on demand from G_n) and a symbolic digit
+stream (digits prescribed by a rule; tail questions answered
+combinatorially).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Union
 
 from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2
-from .hecke_group import DIGIT_MATRICES_INV, Mat2, T, times_digit
+from .hecke_group import (
+    DIGIT_MATRICES_INV, IDENTITY, IntMat, Mat2, T, as_mat2, column, column_fraction, denominator_sq,
+    times_digit,
+)
 
 DEFAULT_CAP = 100_000  # walk indices, Gauss-map terms, digit scans, oracle denominators
 DEFAULT_PERIOD_CAP = 10_000  # period detection, which builds every tail
 _OUTER_SIGN = {1: -1, 3: 1}  # sign(A_d·x − 1) for every x in (0, ∞]
+_BOUNDARY_SIGN = {"inv_sqrt2": -1, "sqrt2": 1}  # sign(x − 1) at the boundary x
 
 
 class Terminated(Exception):
@@ -216,19 +222,21 @@ Source = Union[Surd, DigitStream]
 class Expansion:
     """Lazy digit/convergent engine over either backend.
 
-    Digits and matrices are cached as the walk advances; a surd backend
-    keeps only α besides them and builds tails on demand from G_n.  Since
-    G_n is increasing on (0, ∞), α_n < x ⟺ α < G_n·x, so every digit is one
-    exact predicate α.linear_sign(c, d) with c, d in Z[√2].  The digit word
-    decides where α_n and α*_n lie against 1: A1 maps (0, ∞] into (0, 1/√2],
-    A3 into [√2, ∞], and A2 fixes 1 and is increasing.  Emitted values are
-    immutable and safe to share.
+    Digits and the integer state (T, V, U, W, parity) of each G_n are
+    cached as the walk advances; a surd backend keeps only α besides them
+    and builds tails on demand from G_n.  Since G_n is increasing on (0, ∞),
+    α_n < x ⟺ α < G_n·x, so every digit is one exact predicate
+    α.linear_sign_ints(c, d) with c, d the integer halves of a column of
+    G_n·A_d.  The digit word decides where α_n and α*_n lie against 1: A1
+    maps (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is
+    increasing.  matrix(n) builds G_n over Z[√2] for the callers that need
+    one.  Emitted values are immutable and safe to share.
     """
 
     def __init__(self, source: Source, cap: int = DEFAULT_CAP):
         self.cap = cap
         self._digits: list[int] = []
-        self._mats: list[Mat2] = [Mat2.identity()]
+        self._states: list[IntMat] = [IDENTITY]
         self._stars: list[int] = [1]  # sign(α*_n − 1); α*_0 = ∞
         self._boundary: str | None = None
         if isinstance(source, Surd):
@@ -255,35 +263,37 @@ class Expansion:
                     d = self.stream.digit(len(self._digits) + 1)
                     if d not in (1, 2, 3):
                         raise ValueError(f"digit {d!r} at index {len(self._digits) + 1} is not 1, 2 or 3")
-                    g = times_digit(self._mats[-1], d)
+                    g = times_digit(self._states[-1], d)
                 else:
-                    d, g = self._surd_step(self._mats[-1])
+                    d, g = self._surd_step(self._states[-1])
             except Terminated as exc:
                 self._boundary = exc.boundary
                 continue
             self._digits.append(d)
-            self._mats.append(g)
+            self._states.append(g)
             self._stars.append(_OUTER_SIGN.get(d, self._stars[-1]))
 
-    def _surd_step(self, g: Mat2) -> tuple[int, Mat2]:
+    def _surd_step(self, g: IntMat) -> tuple[int, IntMat]:
         """The digit after G = G_n and G·A_d, from at most two signs.  The
         new columns G·A1·∞ and G·A3·0 are the images of the boundaries 1/√2
         and √2, so α_n against 1/√2 is α against the left column of G·A1,
-        and α_n against √2 is α against the right column of G·A3.  G·A2 is
-        exactly those two columns.  A tie is a boundary, as in next_digit."""
-        assert self.alpha is not None
+        and α_n against √2 is α against the right column of G·A3.  Each
+        column's entries are integers or integers times √2, so each sign is
+        one int predicate.  A tie is a boundary, as in next_digit."""
+        alpha = self.alpha
+        assert alpha is not None
         g1 = times_digit(g, 1)
-        low = self.alpha.linear_sign(g1.u, g1.t)
+        low = alpha.linear_sign_ints(*column(g1, "tu"))
         if low == 0:
             raise Terminated("inv_sqrt2")
         if low < 0:
             return 1, g1
         g3 = times_digit(g, 3)
-        high = self.alpha.linear_sign(g3.w, g3.v)
+        high = alpha.linear_sign_ints(*column(g3, "vw"))
         if high == 0:
             raise Terminated("sqrt2")
         if high < 0:
-            return 2, Mat2(g3.v, g1.t, g3.w, g1.u)
+            return 2, times_digit(g, 2)
         return 3, g3
 
     def digit(self, n: int) -> int:
@@ -294,9 +304,14 @@ class Expansion:
         self._extend(n)
         return tuple(self._digits[:n])
 
-    def matrix(self, n: int) -> Mat2:
+    def state(self, n: int) -> IntMat:
+        """G_n as its integer state (T, V, U, W, parity)."""
         self._extend(n)
-        return self._mats[n]
+        return self._states[n]
+
+    def matrix(self, n: int) -> Mat2:
+        """G_n over Z[√2], built from its integer state on each call."""
+        return as_mat2(self.state(n))
 
     def tail(self, n: int) -> Surd | None:
         """The exact tail α_n = G_n⁻¹·α, built on each call; None on stream
@@ -307,20 +322,22 @@ class Expansion:
 
     def tail_cmp_one(self, n: int) -> int:
         """Exact sign of α_n − 1, α_n = A_{d_{n+1}}·α_{n+1}.  A1 maps (0, ∞] into
-        (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is increasing, so only
-        after a 2, or at the end of a √2·Q value, is the backend asked: α(u + w)
-        against t + v on a surd, the next digit other than 2 on a stream."""
-        g = self.matrix(n)
+        (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is increasing, so the
+        next digit other than 2 decides; where a √2·Q value ends with only 2s
+        after n, its boundary does (1/√2 is below 1, √2 above).  Only after a
+        2 is the backend asked: α(u + w) against t + v on a surd, the next
+        digit other than 2 on a stream."""
+        g = self.state(n)
         try:
-            sign = _OUTER_SIGN.get(self.digit(n + 1))
-        except Terminated:  # G_n exists, so the expansion ends at n + 1
-            sign = None
-        if sign is not None:
-            return sign
-        if self.alpha is not None:
-            return self.alpha.linear_sign(g.u + g.w, g.t + g.v)
-        assert self.stream is not None
-        k = self.stream.next_non_two(n, self.cap)
+            d = self.digit(n + 1)
+            if d != 2:
+                return _OUTER_SIGN[d]
+            if self.alpha is not None:  # the columns t/u and v/w added
+                return self.alpha.linear_sign_ints(*map(add, column(g, "tu"), column(g, "vw")))
+            assert self.stream is not None
+            k = self.stream.next_non_two(n, self.cap)
+        except Terminated as exc:  # G_n exists, so the value ends after n
+            return _BOUNDARY_SIGN[exc.boundary]
         return 0 if k is None else _OUTER_SIGN[self.stream.digit(k)]
 
     def star_cmp_one(self, n: int) -> int:
@@ -342,14 +359,15 @@ class Expansion:
         """Exact rational-in-Q(√2) enclosure (v/w, t/u) of α_n: the image of
         (0, ∞) under the lookahead window W = A_{d_{n+1}}···A_{d_k}, for the
         first k where its width is below 10^-tol_digits.  det W = 1, so the
-        width t/u − v/w is 1/(u·w), and the window stops at u·w > 10^tol_digits.
+        width t/u − v/w is 1/(u·w), and the window stops at u·w > 10^tol_digits,
+        decided on integers as u²·w² > 10^(2·tol_digits).
         The window reads at most `cap` digits."""
-        tol = 10**tol_digits
-        w = Mat2.identity()
+        tol_sq = 10 ** (2 * tol_digits)
+        w = IDENTITY
         for k in range(n + 1, n + self.cap + 1):
             w = times_digit(w, self.digit(k))
-            if (w.u * w.w).cmp(tol) > 0:
-                return QRt2.from_ratio(w.v, w.w), QRt2.from_ratio(w.t, w.u)
+            if denominator_sq(w, "tu") * denominator_sq(w, "vw") > tol_sq:
+                return column_fraction(w, "vw").value_qrt2(), column_fraction(w, "tu").value_qrt2()
         raise CapExceeded("tail enclosure did not converge")
 
 

@@ -3,8 +3,14 @@
 The group is generated by translation by √2 and inversion.  Its boundary
 orbit of ∞ is √2·Q; every element has exactly one canonical fraction form
 p/q with (p odd integer, q = √2·c) or (p = √2·a, q odd integer).
-Every chain G_n = A_{d_1}···A_{d_n} advances by times_digit, which forms
-G·A_d from the columns of G; no walk multiplies two matrices.
+
+Every element also has one of two parity forms, so each entry is one
+integer times 1 or √2.  A chain G_n = A_{d_1}···A_{d_n} is carried as the
+integer state (T, V, U, W, parity): parity 0 is [[T, V√2], [U√2, W]] and
+parity 1 is [[T√2, V], [U, W√2]].  times_digit advances that state on
+plain ints, and as_mat2 builds the Z[√2] matrix only for callers that
+need one.  Mat2 over Z[√2] holds the generators, membership and the
+Möbius action.
 """
 
 from __future__ import annotations
@@ -100,16 +106,37 @@ DIGIT_MATRICES_INV = {d: m.inverse() for d, m in DIGIT_MATRICES.items()}
 DIGIT_DUAL = {1: 3, 2: 2, 3: 1}
 
 
-def times_digit(g: Mat2, d: int) -> Mat2:
-    """G·A_d from the columns of G = [[t, v], [u, w]]: A1 adds √2 × right
+# (T, V, U, W, parity): [[T, V√2], [U√2, W]] at parity 0, [[T√2, V], [U, W√2]] at parity 1.
+IntMat = tuple[int, int, int, int, int]
+
+IDENTITY: IntMat = (1, 0, 0, 1, 0)
+
+
+def times_digit(g: IntMat, d: int) -> IntMat:
+    """G·A_d on the integer state of G, from its columns: A1 adds √2 × right
     to left, A3 adds √2 × left to right, and A2 sets the new left to
-    √2·left + right and the new right to left + √2·right."""
-    t, v, u, w = g.t, g.v, g.u, g.w
+    √2·left + right and the new right to left + √2·right, which flips the
+    parity.  A factor √2·√2 = 2 lands on the column whose entry carries √2."""
+    T, V, U, W, par = g
+    if par:
+        if d == 1:
+            return (T + V, V, U + 2 * W, W, 1)
+        if d == 3:
+            return (T, 2 * T + V, U, U + W, 1)
+        return (2 * T + V, T + V, U + W, U + 2 * W, 0)
     if d == 1:
-        return Mat2(t + v.times_sqrt2(), v, u + w.times_sqrt2(), w)
+        return (T + 2 * V, V, U + W, W, 0)
     if d == 3:
-        return Mat2(t, t.times_sqrt2() + v, u, u.times_sqrt2() + w)
-    return Mat2(t.times_sqrt2() + v, t + v.times_sqrt2(), u.times_sqrt2() + w, u + w.times_sqrt2())
+        return (T, T + V, U, 2 * U + W, 0)
+    return (T + V, T + 2 * V, 2 * U + W, U + W, 1)
+
+
+def as_mat2(g: IntMat) -> Mat2:
+    """The matrix over Z[√2] of an integer state."""
+    T, V, U, W, par = g
+    if par:
+        return Mat2(ZRt2(0, T), ZRt2(V, 0), ZRt2(U, 0), ZRt2(0, W))
+    return Mat2(ZRt2(T, 0), ZRt2(0, V), ZRt2(0, U), ZRt2(W, 0))
 
 
 def generators() -> dict[str, Mat2]:
@@ -199,6 +226,34 @@ def canonicalize_pair(p: ZRt2, q: ZRt2) -> H4Fraction:
     if x.a != 0:
         raise NotInQH4(f"{p}/{q} is not a √2-rational")
     return canonicalize(x.b if n > 0 else -x.b, abs(n))
+
+
+def column(g: IntMat, side: str) -> tuple[int, int, int, int]:
+    """(qa, qb, pa, pb) for the column p/q of G, t/u (side "tu") or v/w
+    (side "vw"), with q = qa + qb√2 and p = pa + pb√2.  In either parity
+    one of p and q is an integer and the other an integer times √2: t/u is
+    T/(U√2) at parity 0 and T√2/U at parity 1, v/w is V√2/W and V/(W√2)."""
+    T, V, U, W, par = g
+    if side == "tu":
+        return (U, 0, 0, T) if par else (0, U, T, 0)
+    return (0, W, V, 0) if par else (W, 0, 0, V)
+
+
+def denominator_sq(g: IntMat, side: str) -> int:
+    """q² for the denominator q of a column of G, an integer as q is an
+    integer or an integer times √2."""
+    qa, qb, _, _ = column(g, side)
+    return qa * qa + 2 * qb * qb
+
+
+def column_fraction(g: IntMat, side: str) -> H4Fraction:
+    """Canonical form of a column of an integer state with non-negative
+    entries, det ±1 and a nonzero denominator in that column, read off its
+    structure: det ±1 makes the column primitive, and the parity form puts
+    the odd entry and the √2 where the canonical form has them."""
+    qa, qb, pa, pb = column(g, side)
+    family = FAMILY_ODD_OVER_SQRT2 if qb else FAMILY_SQRT2_OVER_ODD
+    return H4Fraction(ZRt2(pa, pb), ZRt2(qa, qb), family)
 
 
 def fraction_of_surd(x: Surd) -> H4Fraction:

@@ -14,7 +14,7 @@ from itertools import chain, islice
 from typing import Callable, Iterator
 
 from .exact_field import ONE, SQRT2, TWO, ZERO, Surd, ZRt2
-from .hecke_group import H4Fraction, Mat2, canonicalize_pair
+from .hecke_group import H4Fraction, IntMat, Mat2, as_mat2, canonicalize_pair, column_fraction
 from .h4_expansion import DEFAULT_CAP, CapExceeded, Expansion, Source
 
 
@@ -149,30 +149,34 @@ def dual_flip(exp: Expansion, n: int) -> bool:
     return t < 0 or (t == 0 and exp.star_cmp_one(n) < 0)
 
 
+def _selected(exp: Expansion, n: int, flip: Callable[[Expansion, int], bool]) -> IntMat:
+    """G_n, or G_n·J when flip holds: G_n with its columns swapped, which is
+    (V, T, W, U) at the other parity.  Its first column t/u is the selected
+    endpoint, M_n·∞ or N_n·∞."""
+    T, V, U, W, par = exp.state(n)
+    return (V, T, W, U, 1 - par) if flip(exp, n) else (T, V, U, W, par)
+
+
 def select_M(exp: Expansion, n: int) -> Mat2:
-    """G_n when the reversal exceeds 1, else G_n·J, which is G_n with its
-    columns swapped; M_n·∞ is the interval endpoint with the smaller
-    denominator."""
-    g = exp.matrix(n)
-    return Mat2(g.v, g.t, g.w, g.u) if rosen_flip(exp, n) else g
+    """G_n when the reversal exceeds 1, else G_n·J; M_n·∞ is the interval
+    endpoint with the smaller denominator."""
+    return as_mat2(_selected(exp, n, rosen_flip))
 
 
 def select_N(exp: Expansion, n: int) -> Mat2:
-    """G_n when the tail exceeds 1 (ties broken by the reversal), else G_n·J,
-    G_n with its columns swapped; as in dual_flip, A1 maps (0, ∞] into
-    (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is increasing."""
-    g = exp.matrix(n)
-    return Mat2(g.v, g.t, g.w, g.u) if dual_flip(exp, n) else g
+    """G_n when the tail exceeds 1 (ties broken by the reversal), else G_n·J;
+    as in dual_flip, A1 maps (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2
+    fixes 1 and is increasing."""
+    return as_mat2(_selected(exp, n, dual_flip))
 
 
 def selector_fractions(exp: Expansion, kind: str, n_max: int) -> list[H4Fraction]:
     """Deduplicated M_n·∞ (kind 'rosen') or N_n·∞ (kind 'dual-rosen') for
-    n from m(α)+1 to n_max."""
-    select = select_M if kind == "rosen" else select_N
+    n from m(α)+1 to n_max, read off the integer state."""
+    flip = rosen_flip if kind == "rosen" else dual_flip
     out: list[H4Fraction] = []
     for n in range(exp.leading_threes() + 1, n_max + 1):
-        m = select(exp, n)
-        frac = canonicalize_pair(m.t, m.u)
+        frac = column_fraction(_selected(exp, n, flip), "tu")
         if not out or out[-1] != frac:
             out.append(frac)
     return out

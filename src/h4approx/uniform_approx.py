@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .exact_field import ONE, SQRT2, QRt2, Surd, ZRt2, quad_root
 from .hecke_group import (
-    DIGIT_MATRICES, DIGIT_MATRICES_INV, H4Fraction, Mat2, canonicalize_pair, times_digit,
+    DIGIT_MATRICES, DIGIT_MATRICES_INV, IDENTITY, H4Fraction, as_mat2, canonicalize_pair, times_digit,
 )
 from .h4_expansion import (
     DEFAULT_CAP,
@@ -144,9 +144,10 @@ class KResult:
 
 def _attracting_fixed_point(word: tuple[int, ...]) -> Surd:
     """Positive fixed point of the word matrix: the value of [word^∞]."""
-    m = Mat2.identity()
+    g = IDENTITY
     for d in word:
-        m = times_digit(m, d)
+        g = times_digit(g, d)
+    m = as_mat2(g)
     return quad_root(m.u, m.w - m.t, -m.v, "+")
 
 

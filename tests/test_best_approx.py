@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h4approx.exact_field import ONE, SQRT2, Surd, ZRt2
-from h4approx.hecke_group import DIGIT_MATRICES, Mat2, canonicalize, canonicalize_pair
+from h4approx.hecke_group import DIGIT_MATRICES, IntMat, Mat2, canonicalize, canonicalize_pair
 from h4approx.h4_expansion import Expansion
 from h4approx.best_approx import (
     BEST_BY_SUFFICIENT,
@@ -275,17 +275,17 @@ class TestOnePredicatePerIndex:
                 finally:
                     Counting.inside_tail = False
 
-            def matrix(self, n: int) -> Mat2:
+            def state(self, n: int) -> IntMat:
                 Counting.read.add(n)
-                return super().matrix(n)
+                return super().state(n)
 
         predicates = []
-        linear_sign = Surd.linear_sign
+        linear_sign_ints = Surd.linear_sign_ints
 
-        def counting(self, c, d):
+        def counting(self, ca, cb, da, db):
             if Counting.inside_tail:
                 predicates.append(1)
-            return linear_sign(self, c, d)
+            return linear_sign_ints(self, ca, cb, da, db)
 
         exp = Counting(make_corpus(1, 5, 5)[3])
         best = best_approximations(exp, max_count=1000)
@@ -296,7 +296,7 @@ class TestOnePredicatePerIndex:
         # Walk again over the digits now cached, so that every predicate
         # counted is a tail sign, not a new digit.
         Counting.asked.clear()
-        monkeypatch.setattr(Surd, "linear_sign", counting)
+        monkeypatch.setattr(Surd, "linear_sign_ints", counting)
         assert best_approximations(exp, max_count=1000) == best
         before_two = sum(1 for n in Counting.asked if exp.digit(n + 1) == 2)
         assert len(predicates) == before_two == 384

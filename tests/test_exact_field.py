@@ -23,6 +23,7 @@ from h4approx.exact_field import (
     ZeroLeadingCoefficient,
     ZRt2,
     quad_root,
+    root_sign,
     surd_mobius,
     zrt2_sqrt,
 )
@@ -244,6 +245,63 @@ class TestLinearSign:
         assert alpha.linear_sign(c, d) == 0 == (alpha * c - d).sign()
         assert alpha.linear_sign(c, d + 1) == -1
         assert alpha.linear_sign(c, d - 1) == 1
+
+
+def zrt2_root_sign(X: ZRt2, Y: ZRt2, D: ZRt2) -> int:
+    """Reference sign of X + Y√D by Z[√2] arithmetic: the signs of X and Y,
+    and the sign of X² − Y²D where they differ."""
+    sx, sy = X.sign(), Y.sign()
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    return sx * (X * X - Y * Y * D).sign()
+
+
+_BIG = st.integers(-(10**40), 10**40)
+_BIG_ZRT2 = st.builds(ZRt2, _BIG, _BIG)
+
+
+class TestIntSignKernel:
+    """The one sign kernel runs on the integer halves of X, Y and D; it
+    must agree with Z[√2] arithmetic on random triples."""
+
+    @given(_BIG_ZRT2, _BIG_ZRT2, _BIG_ZRT2.filter(lambda d: d.sign() > 0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_zrt2_arithmetic(self, X, Y, D):
+        want = zrt2_root_sign(X, Y, D)
+        assert exact_field._root_sign(X.a, X.b, Y.a, Y.b, D.a, D.b, Y.sign()) == want
+        assert root_sign(X, Y, D) == want
+
+    @given(_BIG_ZRT2, _BIG_ZRT2.filter(lambda r: r.sign() > 0), st.sampled_from([-1, 0, 1]))
+    @settings(deadline=None)
+    def test_square_radicand_ties(self, Y, r, e):
+        # D = r², so X = e − Y·r makes X + Y√D = e exactly.
+        X, D = e - Y * r, r * r
+        assert root_sign(X, Y, D) == zrt2_root_sign(X, Y, D) == e
+
+    @given(_surds(), _ZRT2.filter(lambda c: c.sign() > 0), _ZRT2)
+    @settings(max_examples=300, deadline=None)
+    def test_int_linear_sign(self, alpha, c, d):
+        assert alpha.linear_sign_ints(c.a, c.b, d.a, d.b) == (alpha * c - d).sign() == alpha.linear_sign(c, d)
+
+    def test_zrt2_operands_skip_of(self, monkeypatch):
+        """ZRt2 operators convert only int operands through ZRt2.of."""
+        seen = []
+        of = ZRt2.of.__func__
+
+        def counting(cls, x):
+            seen.append(x)
+            return of(cls, x)
+
+        monkeypatch.setattr(ZRt2, "of", classmethod(counting))
+        x, y = ZRt2(3, -2), ZRt2(-5, 4)
+        assert (x + y, x - y, x * y) == (ZRt2(-2, 2), ZRt2(8, -6), ZRt2(-31, 22))
+        assert seen == []
+        assert (x + 2, 2 + x, x - 2, 2 - x, x * 2, 2 * x) == (
+            ZRt2(5, -2), ZRt2(5, -2), ZRt2(1, -2), ZRt2(-1, 2), ZRt2(6, -4), ZRt2(6, -4)
+        )
+        assert seen == [2] * 6
 
 
 def enclosure_floor(x: Surd) -> int:

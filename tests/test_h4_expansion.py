@@ -251,6 +251,31 @@ class TestCompareTail:
             assert exact.tail_cmp_one(n) == symbolic.tail_cmp_one(n)
             assert exact.star_cmp_one(n) == symbolic.star_cmp_one(n)
 
+    def test_finite_words_agree_with_the_surd_up_to_the_end(self):
+        """Where only 2s follow index n up to the end of a √2·Q value, its
+        boundary decides sign(α_n − 1): A2 fixes 1 and is increasing, 1/√2
+        lies below 1 and √2 above.  Both backends agree at every index up
+        to the end, and past it both raise the same Terminated."""
+        three_over_2rt2 = Surd.from_ratio(ZRt2(3, 0), ZRt2(0, 2))
+        assert detect_period(three_over_2rt2) == FiniteWord((2,), "sqrt2")
+        assert Expansion(detect_period(three_over_2rt2)).tail_cmp_one(0) == 1
+        for a in range(1, 10):
+            for b in range(1, 10):
+                for alpha in (
+                    Surd.from_ratio(ZRt2(0, a), ZRt2(b, 0)),  # a√2/b
+                    Surd.from_ratio(ZRt2(a, 0), ZRt2(0, b)),  # a/(b√2)
+                ):
+                    word = detect_period(alpha)
+                    assert isinstance(word, FiniteWord)
+                    exact, symbolic = Expansion(alpha), Expansion(word)
+                    end = len(word.digits)
+                    for n in range(end + 1):
+                        assert symbolic.tail_cmp_one(n) == exact.tail_cmp_one(n), (alpha, n)
+                    for exp in (exact, symbolic):
+                        with pytest.raises(Terminated) as info:
+                            exp.tail_cmp_one(end + 1)
+                        assert (info.value.boundary, info.value.length) == (word.boundary, end)
+
     def test_tail_bounds_enclose(self):
         stream = detect_period(SURD17)
         exact = Expansion(SURD17)

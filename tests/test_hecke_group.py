@@ -24,6 +24,9 @@ from h4approx.hecke_group import (
     ford_radius,
     ford_tangent,
     fraction_of_surd,
+    IDENTITY,
+    as_mat2,
+    column_fraction,
     generators,
     membership,
     numerators_near,
@@ -212,14 +215,74 @@ class TestBetweenTangentPairs:
                 assert f.q.cmp(qsum) >= 0
 
 
-ZRT2S = st.builds(ZRt2, st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30))
+INTS = st.integers(-(10**30), 10**30)
+WORDS = st.lists(st.sampled_from([1, 2, 3]), max_size=60)
 
 
 class TestTimesDigit:
     @settings(max_examples=200, deadline=None)
-    @given(st.builds(Mat2, ZRT2S, ZRT2S, ZRT2S, ZRT2S), st.sampled_from([1, 2, 3]))
-    def test_equals_the_matrix_product(self, g, d):
-        assert times_digit(g, d) == g * DIGIT_MATRICES[d]
+    @given(INTS, INTS, INTS, INTS, st.sampled_from([0, 1]), WORDS)
+    def test_integer_step_is_the_matrix_product(self, t, v, u, w, parity, word):
+        """From a state of either parity, the integer step's Mat2 view
+        equals the product of the digit matrices."""
+        g = (t, v, u, w, parity)
+        m = as_mat2(g)
+        for d in word:
+            g = times_digit(g, d)
+            m = m * DIGIT_MATRICES[d]
+            assert as_mat2(g) == m
+        assert g[4] == (parity + word.count(2)) % 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(WORDS)
+    def test_digit_chains_are_group_members(self, word):
+        """Every G_n has det 1 and a parity form, so its columns are
+        canonical fractions as they stand."""
+        g = IDENTITY
+        for d in word:
+            g = times_digit(g, d)
+            m = as_mat2(g)
+            assert membership(m)
+            if g[2]:
+                assert column_fraction(g, "tu") == canonicalize_pair(m.t, m.u)
+            assert column_fraction(g, "vw") == canonicalize_pair(m.v, m.w)
+
+    def test_digit_expansion_builds_no_zrt2_and_no_mat2(self, monkeypatch):
+        """Digits and G_n advance on plain ints: word(1000) of a bound-5
+        surd constructs no ZRt2 and no Mat2 (17,016 and 1,507 when G_n was
+        a Mat2 over Z[√2]).  The walk over those digits builds no Mat2 and
+        reads its fractions without canonicalize_pair."""
+        from h4approx import best_approx
+        from h4approx.cli import make_corpus
+        from h4approx.h4_expansion import Expansion
+
+        alpha = make_corpus(1, 5, 5)[3]
+        built = {ZRt2: 0, Mat2: 0}
+
+        def counted(cls):
+            init = cls.__init__
+
+            def counting(self, *args):
+                built[cls] += 1
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        counted(ZRt2)
+        counted(Mat2)
+        assert ZRt2(1, 0) * ZRt2(0, 1) == SQRT2 and Mat2(ONE, SQRT2, SQRT2, ONE).v == SQRT2
+        assert built == {ZRt2: 3, Mat2: 1}, "the counters must see construction"
+        built.update({ZRt2: 0, Mat2: 0})
+        exp = Expansion(alpha)
+        assert len(exp.word(1000)) == 1000
+        assert built == {ZRt2: 0, Mat2: 0}
+
+        def refused(p, q):
+            raise AssertionError("the walk called canonicalize_pair")
+
+        monkeypatch.setattr(best_approx, "canonicalize_pair", refused)
+        assert len(best_approx.best_approximations(exp, max_count=100, cap=1000)) == 100
+        assert built[Mat2] == 0
 
     def test_no_matrix_product_on_production_paths(self, monkeypatch):
         """The walks, the tail window, the period phases and the selectors

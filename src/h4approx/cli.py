@@ -374,7 +374,7 @@ OPTIMALITY_COLUMNS = ["lo", "hi", "target", "distance"]
 
 
 def cmd_optimality(args, cap: int) -> Output:
-    points = optimality_check(args.stream, i_max=args.i_max)
+    points = optimality_check(args.stream, i_max=args.i_max, cap=cap)
     # The OPTIMALITY_COLUMNS values of each point.
     values = [(p.lo, p.hi, p.target, p.max_distance()) for p in points]
     return Output(

@@ -22,7 +22,7 @@ from .hecke_group import (
 )
 
 DEFAULT_CAP = 100_000  # walk indices, Gauss-map terms, digit scans, oracle denominators
-DEFAULT_PERIOD_CAP = 10_000  # period detection, which builds every tail
+DEFAULT_PERIOD_CAP = 10_000  # period detection, which builds every tail of an input it scans
 _OUTER_SIGN = {1: -1, 3: 1}  # sign(A_d·x − 1) for every x in (0, ∞]
 _BOUNDARY_SIGN = {"inv_sqrt2": -1, "sqrt2": 1}  # sign(x − 1) at the boundary x
 
@@ -371,17 +371,40 @@ class Expansion:
         raise CapExceeded("tail enclosure did not converge")
 
 
+def may_be_periodic(alpha: Surd) -> bool:
+    """False only when the expansion of α = (P + Q√D)/S (normal form) is
+    proved not eventually periodic, by two integer checks.
+
+    Conjugation by diag(1, √2), the Möbius map x ↦ x/√2, sends every group
+    element to a multiple of an integer matrix: [[a, b√2], [c√2, d]] to
+    [[a, b], [2c, d]], and [[a√2, b], [c, d√2]] to (1/√2)·[[2a, b], [2c, 2d]].
+    A repeated tail α_m = α_n with m > n makes α a fixed point of
+    G_m·G_n⁻¹, which is conjugate to a nonempty digit product and so is not
+    the identity; then β = α/√2 is a fixed point of a non-identity integer
+    matrix, hence quadratic over Q.  When Q ≠ 0, normal form leaves D a
+    non-square, so β has degree 2 over Q(√2), with trace √2·P/S and norm
+    (P² − Q²D)/(2S²), and β is quadratic over Q only if both are rational:
+    P.a = 0 and (P² − Q²D).b = 0.  Every α in Q(√2) passes."""
+    P, Q = alpha.P, alpha.Q
+    return Q.is_zero() or (P.a == 0 and (P * P - Q * Q * alpha.D).b == 0)
+
+
 def detect_period(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> DigitStream:
     """Expansion of alpha as a stream: FiniteWord for values in √2·Q,
     the eventually periodic stream when an exact tail repeats within cap,
     CapExceeded otherwise.
 
-    Every tail is needed here, so the digits come from the next_digit chain.
+    An input that fails may_be_periodic has no repeated tail at any cap, so
+    it raises CapExceeded at once, with no digit and no tail built.  For the
+    rest every tail is needed, so the digits come from the next_digit chain.
     States are compared by exact canonical surd equality, so a reported
     period is never spurious.
     """
     if alpha.sign() <= 0:
         raise ValueError("period detection requires a positive value")
+    if not may_be_periodic(alpha):
+        raise CapExceeded("no repeated tail at any cap: alpha/sqrt2 is not quadratic over Q, "
+                          "so the expansion is not eventually periodic")
     seen: dict[tuple[int, ...], int] = {alpha.key(): 0}
     digits: list[int] = []
     tail = alpha

@@ -18,6 +18,7 @@ from .hecke_group import (
 from .h4_expansion import (
     DEFAULT_CAP,
     DEFAULT_PERIOD_CAP,
+    CapExceeded,
     Expansion,
     PeriodicStream,
     Source,
@@ -161,7 +162,11 @@ def k_exact(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> KResult:
     on the reversal limit.  All phase words share one discriminant, so each
     step gives the normal form of that phase word's own fixed point.  Phase
     j's signs against 1 are the digit word's at index len(ρ) + P + j: A1 maps
-    (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is increasing."""
+    (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is increasing.
+
+    CapExceeded when detect_period finds no period within `cap` digits, and
+    at once, with no digit expanded, for a surd it proves not eventually
+    periodic (may_be_periodic)."""
     stream = detect_period(alpha, cap)
     if not isinstance(stream, PeriodicStream):
         raise NonPeriodicInput("expansion terminates; no uniform constant")
@@ -272,12 +277,23 @@ def _vw_record_bounds(exp: Expansion, n: int, tol_digits: int = 9) -> tuple[QRt2
     return f(lo), f(hi)
 
 
-def optimality_check(which: str, i_max: int = 5, tol_digits: int = 9) -> list[OptimalityPoint]:
+def optimality_check(
+    which: str, i_max: int = 5, tol_digits: int = 9, cap: int = DEFAULT_CAP
+) -> list[OptimalityPoint]:
     """Evaluate the sharpness indices of stream A (targets 1/(√2+1) and 1)
-    or stream B (target 1/2) with exact rational enclosures."""
+    or stream B (target 1/2) with exact rational enclosures.
+
+    CapExceeded before any digit is read when the largest index,
+    3·4^i_max − 2 for A and 2·3^i_max for B, exceeds `cap`; each tail
+    enclosure's lookahead window reads at most `cap` digits."""
+    if which not in ("A", "B"):
+        raise ValueError("stream must be 'A' or 'B'")
+    n_max = 3 * 4**i_max - 2 if which == "A" else 2 * 3**i_max
+    if i_max > 0 and n_max > cap:
+        raise CapExceeded(f"stream {which} at i-max {i_max} reads index {n_max}, past the cap {cap}")
     points: list[OptimalityPoint] = []
     if which == "A":
-        exp = Expansion(four_blocks_stream())
+        exp = Expansion(four_blocks_stream(), cap)
         for i in range(1, i_max + 1):
             n = 3 * 4**i - 2
             lo, hi = _vw_record_bounds(exp, n, tol_digits)
@@ -285,12 +301,10 @@ def optimality_check(which: str, i_max: int = 5, tol_digits: int = 9) -> list[Op
             n = 2 * 4**i - 1
             lo, hi = _vw_record_bounds(exp, n, tol_digits)
             points.append(OptimalityPoint(i, n, lo, hi, STREAM_A_TARGET_AUX))
-    elif which == "B":
-        exp = Expansion(three_powers_stream())
+    else:
+        exp = Expansion(three_powers_stream(), cap)
         for i in range(1, i_max + 1):
             n = 2 * 3**i
             lo, hi = _vw_record_bounds(exp, n, tol_digits)
             points.append(OptimalityPoint(i, n, lo, hi, STREAM_B_TARGET))
-    else:
-        raise ValueError("stream must be 'A' or 'B'")
     return points

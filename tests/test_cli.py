@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +15,14 @@ from h4approx.exact_field import Surd, ZRt2
 from h4approx.h4_expansion import Expansion, RuleStream
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def h4(*argv: str) -> subprocess.CompletedProcess:
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     return subprocess.run(
         [sys.executable, "-m", "h4approx.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True,
         text=True,
         timeout=120,
@@ -340,6 +347,43 @@ class TestCountsAndBudgets:
         assert run([*argv, "--cap-iterations", "35"]) == 3
         capsys.readouterr()
         assert run([*argv, "--cap-iterations", "36"]) == 0
+        capped = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == capped
+
+    @pytest.mark.parametrize("command", [["period"], ["k", "--exact"]], ids=["period", "k-exact"])
+    def test_certified_nonperiodic_exits_before_a_digit(self, command, monkeypatch, capsys):
+        """A surd proved not eventually periodic exits 3 at the default cap
+        without a single digit step of period detection."""
+        from h4approx import h4_expansion
+
+        def no_digit(x):
+            raise AssertionError("period detection expanded a digit")
+
+        monkeypatch.setattr(h4_expansion, "next_digit", no_digit)
+        literal = '{"P":[-3,-3],"Q":[6,4],"D":[-1,2],"S":[1,0]}'
+        assert run([*command, "--alpha", literal]) == 3
+        captured = capsys.readouterr()
+        assert "cap exceeded" in captured.err and captured.out == ""
+
+    def test_optimality_cap_precedes_the_digits(self, monkeypatch, capsys):
+        """Stream B at i-max 10 reads index 2·3^10 = 118,098, so a cap of 10
+        exits 3 before any digit is read."""
+        def no_digit(self, n):
+            raise AssertionError("optimality read a digit")
+
+        monkeypatch.setattr(RuleStream, "digit", no_digit)
+        assert run(["optimality", "--stream", "B", "--i-max", "10", "--cap-iterations", "10"]) == 3
+        captured = capsys.readouterr()
+        assert "cap exceeded" in captured.err and captured.out == ""
+
+    def test_optimality_cap_counts_indices(self, capsys):
+        # Stream A at i-max 2 reads indices up to 3·4^2 − 2 = 46, and each
+        # tail window reads fewer than 100 digits.
+        argv = ["optimality", "--stream", "A", "--i-max", "2"]
+        assert run([*argv, "--cap-iterations", "45"]) == 3
+        assert "index 46" in capsys.readouterr().err
+        assert run([*argv, "--cap-iterations", "100"]) == 0
         capped = capsys.readouterr().out
         assert run(argv) == 0
         assert capsys.readouterr().out == capped

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h4approx import h4_expansion
 from h4approx.exact_field import ONE, SQRT2, QRt2, Surd, ZRt2
 from h4approx.hecke_group import DIGIT_MATRICES, Mat2
 from h4approx.h4_expansion import (
+    CapExceeded,
     Expansion,
     FiniteWord,
     PeriodicStream,
@@ -183,6 +185,72 @@ class TestDetectPeriod:
 
         with pytest.raises(CapExceeded):
             detect_period(Surd(ONE, ONE, ZRt2(7, 0), ONE), cap=300)
+
+    def test_certified_nonperiodic_builds_no_tail(self, monkeypatch):
+        """A surd that fails may_be_periodic raises at once: no digit step
+        and no Surd, whatever the cap."""
+        inputs = [Surd(ONE, ONE, ZRt2(7, 0), ONE),  # 1 + √7
+                  Surd(ZRt2(-3, -3), ZRt2(6, 4), ZRt2(-1, 2), ONE)]
+        counts = {"next_digit": 0, "surd": 0}
+        real_post_init = Surd.__post_init__
+
+        def counted_next_digit(x):
+            counts["next_digit"] += 1
+            return next_digit(x)
+
+        def counted_post_init(self):
+            counts["surd"] += 1
+            real_post_init(self)
+
+        monkeypatch.setattr(h4_expansion, "next_digit", counted_next_digit)
+        monkeypatch.setattr(Surd, "__post_init__", counted_post_init)
+        for alpha in inputs:
+            with pytest.raises(CapExceeded) as exc:
+                detect_period(alpha)
+            assert counts == {"next_digit": 0, "surd": 0}
+            assert "not quadratic over Q" in str(exc.value)
+
+    def test_certificate_agrees_with_the_scan_on_the_corpus(self, monkeypatch):
+        """With the certificate bypassed, each corpus input gets the same
+        result at cap 300: every input it rejects still hits the cap."""
+        from h4approx.cli import make_corpus
+
+        def outcome(alpha):
+            try:
+                return detect_period(alpha, cap=300)
+            except CapExceeded:
+                return CapExceeded
+
+        corpus = make_corpus(1, 100, 5)
+        rejected = [alpha for alpha in corpus if not h4_expansion.may_be_periodic(alpha)]
+        with_certificate = [outcome(alpha) for alpha in corpus]
+        monkeypatch.setattr(h4_expansion, "may_be_periodic", lambda alpha: True)
+        assert [outcome(alpha) for alpha in corpus] == with_certificate
+        assert 0 < len(rejected) < len(corpus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([1, 2, 3]), max_size=5),
+           st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=5))
+    def test_eventually_periodic_surds_pass(self, rho, word):
+        """α = G_ρ·x, x the attracting fixed point of a period word, passes
+        the certificate and is found periodic."""
+        from h4approx.hecke_group import IDENTITY, as_mat2, times_digit
+        from h4approx.uniform_approx import _attracting_fixed_point
+
+        if set(word) <= {1} or set(word) <= {3}:
+            return  # parabolic: fixed point on the boundary
+        x = _attracting_fixed_point(tuple(word))
+        if x.is_sqrt2_rational():
+            return
+        g = IDENTITY
+        for d in rho:
+            g = times_digit(g, d)
+        alpha = as_mat2(g).act(x)
+        assert h4_expansion.may_be_periodic(alpha)
+        stream = detect_period(alpha)
+        assert isinstance(stream, PeriodicStream)
+        upto = len(rho) + 2 * len(word)
+        assert tuple(stream.digit(i) for i in range(1, upto + 1)) == tuple(rho) + tuple(word) * 2
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=6))

@@ -20,7 +20,6 @@ from .h4_expansion import (
     PeriodicStream,
     RuleStream,
     detect_period,
-    next_digit,
     normalize_alpha,
 )
 from .rosen_cf import (
@@ -56,7 +55,7 @@ __all__ = [
     "H4Fraction", "Mat2", "canonicalize", "canonicalize_pair", "ford_tangent",
     "generators", "membership",
     "Expansion", "FiniteWord", "PeriodicStream", "RuleStream",
-    "detect_period", "next_digit", "normalize_alpha",
+    "detect_period", "normalize_alpha",
     "CFExpansion", "RosenDigit", "dual_rosen_convergents", "dual_rosen_digits",
     "rosen_convergents", "rosen_digits", "select_M", "select_N",
     "BestApprox", "best_approximations", "legendre_classify",

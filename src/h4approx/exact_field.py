@@ -616,7 +616,7 @@ class Surd:
         return self.floor_linear(ONE, ZERO, ONE)
 
     def key(self) -> tuple[int, ...]:
-        """Hashable canonical key (used for exact state-repetition detection)."""
+        """Hashable canonical key: equal exactly for equal values."""
         return (*self.P.pair(), *self.Q.pair(), *self.D.pair(), self.S.a)
 
     def __str__(self) -> str:

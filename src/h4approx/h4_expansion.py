@@ -6,25 +6,25 @@ Two interchangeable backends drive everything downstream: an exact surd
 (every digit and tail question is the sign of α·c − d with c, d read off
 the integer state of G_n; tails on demand from G_n) and a symbolic digit
 stream (digits prescribed by a rule; tail questions answered
-combinatorially).
+combinatorially).  Period detection scans β = α/√2 as integer triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from operator import add
 from typing import Callable, Union
 
-from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2
+from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2, _root_sign
 from .hecke_group import (
-    DIGIT_MATRICES_INV, IDENTITY, IntMat, Mat2, T, as_mat2, column, column_fraction, denominator_sq,
-    times_digit,
+    IDENTITY, IntMat, Mat2, T, as_mat2, column, column_fraction, denominator_sq, times_digit,
 )
 
-DEFAULT_CAP = 100_000  # walk indices, Gauss-map terms, digit scans, oracle denominators
-DEFAULT_PERIOD_CAP = 10_000  # period detection, which builds every tail of an input it scans
+DEFAULT_CAP = 100_000  # walk indices, Gauss-map terms, digit scans, period scans, oracle denominators
 _OUTER_SIGN = {1: -1, 3: 1}  # sign(A_d·x − 1) for every x in (0, ∞]
 _BOUNDARY_SIGN = {"inv_sqrt2": -1, "sqrt2": 1}  # sign(x − 1) at the boundary x
+_BETA_TAIL_MAPS = {1: (1, 0, -2, 1), 2: (2, -1, -2, 2), 3: (1, -1, 0, 1)}  # A_d⁻¹ under x ↦ x/√2
 
 
 class Terminated(Exception):
@@ -191,31 +191,6 @@ STREAM_RULES = {
 }
 
 
-def next_digit(x: Surd) -> tuple[int, Surd]:
-    """Digit selecting the interval of x in (0,∞) and the exact tail
-    A_d⁻¹·x.  x is placed against 1/√2 by the sign of x·√2 − 1 and against
-    √2 by one comparison, so only the tail is built.
-
-    Raises Terminated when x is 0 or a boundary point (both in √2·Q).
-    """
-    s = x.sign()
-    if s < 0:
-        raise ValueError("expansion is defined for positive values")
-    if s == 0:
-        raise Terminated("zero")
-    c1 = x.linear_sign(SQRT2, ONE)
-    if c1 == 0:
-        raise Terminated("inv_sqrt2")
-    if c1 < 0:
-        d = 1
-    else:
-        c2 = x.cmp(SQRT2)
-        if c2 == 0:
-            raise Terminated("sqrt2")
-        d = 2 if c2 < 0 else 3
-    return d, DIGIT_MATRICES_INV[d].act(x)
-
-
 Source = Union[Surd, DigitStream]
 
 
@@ -279,7 +254,7 @@ class Expansion:
         and √2, so α_n against 1/√2 is α against the left column of G·A1,
         and α_n against √2 is α against the right column of G·A3.  Each
         column's entries are integers or integers times √2, so each sign is
-        one int predicate.  A tie is a boundary, as in next_digit."""
+        one int predicate.  A tie is a boundary: α_n is 1/√2 or √2."""
         alpha = self.alpha
         assert alpha is not None
         g1 = times_digit(g, 1)
@@ -384,37 +359,64 @@ def may_be_periodic(alpha: Surd) -> bool:
     matrix, hence quadratic over Q.  When Q ≠ 0, normal form leaves D a
     non-square, so β has degree 2 over Q(√2), with trace √2·P/S and norm
     (P² − Q²D)/(2S²), and β is quadratic over Q only if both are rational:
-    P.a = 0 and (P² − Q²D).b = 0.  Every α in Q(√2) passes."""
+    P.a = 0 and (P² − Q²D).b = 0.  Every α in Q(√2) passes, and every α
+    that passes has β = (X + Y√Δ)/Z over integers, as detect_period scans."""
     P, Q = alpha.P, alpha.Q
     return Q.is_zero() or (P.a == 0 and (P * P - Q * Q * alpha.D).b == 0)
 
 
-def detect_period(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> DigitStream:
+def _beta_step(x: int, y: int, z: int, delta: int) -> tuple[int, tuple[int, int, int]]:
+    """The digit of α = √2·β for β = (x + y√Δ)/z, z > 0, and the reduced
+    triple of the tail (aβ + b)/(cβ + e), A_d⁻¹ under x ↦ x/√2.  The
+    boundaries 1/√2 and √2 become 1/2 and 1: β against 1/2 is the sign of
+    2x − z + 2y√Δ, against 1 that of x − z + y√Δ; a tie is a boundary."""
+    sy = (y > 0) - (y < 0)
+    low = _root_sign(2 * x - z, 0, 2 * y, 0, delta, 0, sy)
+    if low == 0:
+        raise Terminated("inv_sqrt2")
+    if low < 0:
+        d = 1
+    else:
+        high = _root_sign(x - z, 0, y, 0, delta, 0, sy)
+        if high == 0:
+            raise Terminated("sqrt2")
+        d = 2 if high < 0 else 3
+    a, b, c, e = _BETA_TAIL_MAPS[d]
+    num, den, yy = a * x + b * z, c * x + e * z, y * y * delta
+    x, y, z = num * den - a * c * yy, y * z * (a * e - b * c), den * den - c * c * yy
+    g = gcd(x, y, z) if z > 0 else -gcd(x, y, z)
+    return d, (x // g, y // g, z // g)
+
+
+def detect_period(alpha: Surd, cap: int = DEFAULT_CAP) -> DigitStream:
     """Expansion of alpha as a stream: FiniteWord for values in √2·Q,
-    the eventually periodic stream when an exact tail repeats within cap,
+    the eventually periodic stream when a tail repeats within cap,
     CapExceeded otherwise.
 
     An input that fails may_be_periodic has no repeated tail at any cap, so
-    it raises CapExceeded at once, with no digit and no tail built.  For the
-    rest every tail is needed, so the digits come from the next_digit chain.
-    States are compared by exact canonical surd equality, so a reported
-    period is never spurious.
+    it raises CapExceeded at once.  The rest scan the tails of β = α/√2 =
+    (X + Y√Δ)/Z by _beta_step, from (2P.b + P.a·√2)/(2S) when Q = 0 and
+    (2P.b + sign(Q)·√(2·Q²D))/(2S) otherwise, Q²D being a rational integer.
+    Δ is not a square, so the triple with content 1 and Z > 0 is unique per
+    value: a repeated triple is a repeated tail, never a spurious period.
     """
     if alpha.sign() <= 0:
         raise ValueError("period detection requires a positive value")
     if not may_be_periodic(alpha):
         raise CapExceeded("no repeated tail at any cap: alpha/sqrt2 is not quadratic over Q, "
                           "so the expansion is not eventually periodic")
-    seen: dict[tuple[int, ...], int] = {alpha.key(): 0}
+    P, Q, z = alpha.P, alpha.Q, 2 * alpha.S.a
+    y, delta = (P.a, 2) if Q.is_zero() else (Q.sign(), 2 * (Q * Q * alpha.D).a)
+    g = gcd(2 * P.b, y, z)
+    key = (2 * P.b // g, y // g, z // g)
+    seen = {key: 0}
     digits: list[int] = []
-    tail = alpha
     for i in range(1, cap + 1):
         try:
-            d, tail = next_digit(tail)
+            d, key = _beta_step(*key, delta)
         except Terminated as exc:
             return FiniteWord(tuple(digits), exc.boundary)
         digits.append(d)
-        key = tail.key()
         if key in seen:
             start = seen[key]
             return PeriodicStream(tuple(digits[:start]), tuple(digits[start:i]))

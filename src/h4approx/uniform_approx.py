@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 from .exact_field import ONE, SQRT2, QRt2, Surd, ZRt2, quad_root
 from .hecke_group import (
-    DIGIT_MATRICES, DIGIT_MATRICES_INV, IDENTITY, H4Fraction, as_mat2, canonicalize_pair, times_digit,
+    DIGIT_MATRICES, DIGIT_MATRICES_INV, IDENTITY, H4Fraction, as_mat2, column_fraction, times_digit,
 )
 from .h4_expansion import (
     DEFAULT_CAP,
-    DEFAULT_PERIOD_CAP,
     CapExceeded,
     Expansion,
     PeriodicStream,
@@ -98,9 +97,7 @@ def uniform_sequence(
     out: list[UniformRecord] = []
     for i, (cur, nxt) in enumerate(zip(best, best[1:]), start=1):
         case, nside, nn = successor_case(exp, cur.side, cur.n_last)
-        succ = exp.matrix(nn)
-        col = (succ.t, succ.u) if nside == "tu" else (succ.v, succ.w)
-        assert canonicalize_pair(*col) == nxt.frac, "successor table disagrees with enumeration"
+        assert column_fraction(exp.state(nn), nside) == nxt.frac, "successor table disagrees with enumeration"
         n = cur.n_last
         g = exp.matrix(n)
         if exp.alpha is not None:
@@ -152,7 +149,7 @@ def _attracting_fixed_point(word: tuple[int, ...]) -> Surd:
     return quad_root(m.u, m.w - m.t, -m.v, "+")
 
 
-def k_exact(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> KResult:
+def k_exact(alpha: Surd, cap: int = DEFAULT_CAP) -> KResult:
     """Exact uniform constant via per-phase limits of the record values.
 
     Over one period, each qualifying transition's record value converges to
@@ -164,8 +161,9 @@ def k_exact(alpha: Surd, cap: int = DEFAULT_PERIOD_CAP) -> KResult:
     j's signs against 1 are the digit word's at index len(ρ) + P + j: A1 maps
     (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is increasing.
 
-    CapExceeded when detect_period finds no period within `cap` digits, and
-    at once, with no digit expanded, for a surd it proves not eventually
+    The period comes from detect_period's scan of α/√2 as integer triples.
+    CapExceeded when that scan finds no repeated tail within `cap` digits,
+    and at once, with no digit scanned, for a surd it proves not eventually
     periodic (may_be_periodic)."""
     stream = detect_period(alpha, cap)
     if not isinstance(stream, PeriodicStream):

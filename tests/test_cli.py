@@ -357,10 +357,12 @@ class TestCountsAndBudgets:
         without a single digit step of period detection."""
         from h4approx import h4_expansion
 
-        def no_digit(x):
-            raise AssertionError("period detection expanded a digit")
+        def no_digit(*args):
+            raise AssertionError("period detection scanned a digit")
 
-        monkeypatch.setattr(h4_expansion, "next_digit", no_digit)
+        monkeypatch.setattr(h4_expansion, "_beta_step", no_digit)
+        with pytest.raises(AssertionError, match="scanned a digit"):
+            run([*command, "--alpha", "one"])  # the guard sees a digit step
         literal = '{"P":[-3,-3],"Q":[6,4],"D":[-1,2],"S":[1,0]}'
         assert run([*command, "--alpha", literal]) == 3
         captured = capsys.readouterr()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from h4approx import h4_expansion
 from h4approx.exact_field import ONE, SQRT2, QRt2, Surd, ZRt2
-from h4approx.hecke_group import DIGIT_MATRICES, Mat2
+from h4approx.hecke_group import DIGIT_MATRICES, DIGIT_MATRICES_INV, Mat2
 from h4approx.h4_expansion import (
     CapExceeded,
     Expansion,
@@ -18,7 +18,6 @@ from h4approx.h4_expansion import (
     Terminated,
     detect_period,
     four_blocks_stream,
-    next_digit,
     normalize_alpha,
     three_powers_stream,
 )
@@ -26,6 +25,59 @@ from tests.test_rosen_cf import random_periodic_surd
 
 SURD17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))  # (3+√17)/(2√2)
 INV_SQRT2 = Surd.from_ratio(ONE, SQRT2)
+
+
+def next_digit(x: Surd) -> tuple[int, Surd]:
+    """The reference digit step on exact tails: the digit selecting the
+    interval of x in (0,∞) and the tail A_d⁻¹·x.  x is placed against 1/√2
+    by the sign of x·√2 − 1 and against √2 by one comparison.
+
+    Raises Terminated when x is 0 or a boundary point (both in √2·Q).
+    """
+    s = x.sign()
+    if s < 0:
+        raise ValueError("expansion is defined for positive values")
+    if s == 0:
+        raise Terminated("zero")
+    c1 = x.linear_sign(SQRT2, ONE)
+    if c1 == 0:
+        raise Terminated("inv_sqrt2")
+    if c1 < 0:
+        d = 1
+    else:
+        c2 = x.cmp(SQRT2)
+        if c2 == 0:
+            raise Terminated("sqrt2")
+        d = 2 if c2 < 0 else 3
+    return d, DIGIT_MATRICES_INV[d].act(x)
+
+
+def chain_period(alpha: Surd, cap: int):
+    """The reference period scan, with no certificate: the next_digit chain
+    of exact tails, keyed by canonical surd equality.  The same outcome as
+    detect_period, with CapExceeded returned rather than raised."""
+    seen = {alpha.key(): 0}
+    digits: list[int] = []
+    tail = alpha
+    for i in range(1, cap + 1):
+        try:
+            d, tail = next_digit(tail)
+        except Terminated as exc:
+            return FiniteWord(tuple(digits), exc.boundary)
+        digits.append(d)
+        if tail.key() in seen:
+            start = seen[tail.key()]
+            return PeriodicStream(tuple(digits[:start]), tuple(digits[start:i]))
+        seen[tail.key()] = i
+    return CapExceeded
+
+
+def scan_period(alpha: Surd, cap: int):
+    """detect_period's outcome, with CapExceeded returned rather than raised."""
+    try:
+        return detect_period(alpha, cap)
+    except CapExceeded:
+        return CapExceeded
 
 
 class TestNextDigit:
@@ -191,42 +243,86 @@ class TestDetectPeriod:
         and no Surd, whatever the cap."""
         inputs = [Surd(ONE, ONE, ZRt2(7, 0), ONE),  # 1 + √7
                   Surd(ZRt2(-3, -3), ZRt2(6, 4), ZRt2(-1, 2), ONE)]
-        counts = {"next_digit": 0, "surd": 0}
-        real_post_init = Surd.__post_init__
+        counts = {"digit": 0, "surd": 0}
+        real_step, real_post_init = h4_expansion._beta_step, Surd.__post_init__
 
-        def counted_next_digit(x):
-            counts["next_digit"] += 1
-            return next_digit(x)
+        def counted_step(*args):
+            counts["digit"] += 1
+            return real_step(*args)
 
         def counted_post_init(self):
             counts["surd"] += 1
             real_post_init(self)
 
-        monkeypatch.setattr(h4_expansion, "next_digit", counted_next_digit)
+        monkeypatch.setattr(h4_expansion, "_beta_step", counted_step)
         monkeypatch.setattr(Surd, "__post_init__", counted_post_init)
+        assert detect_period(Surd.of(1)) == PeriodicStream((), (2,))
+        assert counts == {"digit": 1, "surd": 1}, "the counters must see digit steps and surds"
+        counts.update(digit=0, surd=0)
         for alpha in inputs:
             with pytest.raises(CapExceeded) as exc:
                 detect_period(alpha)
-            assert counts == {"next_digit": 0, "surd": 0}
+            assert counts == {"digit": 0, "surd": 0}
             assert "not quadratic over Q" in str(exc.value)
 
-    def test_certificate_agrees_with_the_scan_on_the_corpus(self, monkeypatch):
-        """With the certificate bypassed, each corpus input gets the same
-        result at cap 300: every input it rejects still hits the cap."""
+    def test_certificate_agrees_with_the_scan_on_the_corpus(self):
+        """With the certificate bypassed through the reference chain, each
+        corpus input gets the same result at cap 300: every input it
+        rejects still hits the cap."""
         from h4approx.cli import make_corpus
-
-        def outcome(alpha):
-            try:
-                return detect_period(alpha, cap=300)
-            except CapExceeded:
-                return CapExceeded
 
         corpus = make_corpus(1, 100, 5)
         rejected = [alpha for alpha in corpus if not h4_expansion.may_be_periodic(alpha)]
-        with_certificate = [outcome(alpha) for alpha in corpus]
-        monkeypatch.setattr(h4_expansion, "may_be_periodic", lambda alpha: True)
-        assert [outcome(alpha) for alpha in corpus] == with_certificate
+        assert [scan_period(alpha, 300) for alpha in corpus] == [chain_period(alpha, 300) for alpha in corpus]
         assert 0 < len(rejected) < len(corpus)
+
+    @pytest.mark.parametrize("cap", [200, 20_000])
+    def test_triple_scan_agrees_with_the_chain(self, cap):
+        """The integer triple scan and the exact-tail chain give the same
+        stream, finite word or tripped cap on passing corpus inputs, the
+        period-107 and period-369 literals, and p√2/q, p/(q√2) and p/q."""
+        from h4approx.cli import make_corpus
+
+        inputs = [alpha for alpha in make_corpus(1, 2400, 5) if h4_expansion.may_be_periodic(alpha)]
+        assert len(inputs) == 233
+        inputs += [Surd.from_ratio(ZRt2(16, -3), ZRt2(4, 0)),  # period 107
+                   Surd.from_ratio(ZRt2(52, 14), ZRt2(7, 0))]  # period 369
+        for p in range(1, 10):
+            for q in range(1, 10):
+                inputs += [Surd.from_ratio(ZRt2(0, p), ZRt2(q, 0)), Surd.from_ratio(ZRt2(p, 0), ZRt2(0, q)),
+                           Surd.from_ratio(ZRt2(p, 0), ZRt2(q, 0))]
+        outcomes = [scan_period(alpha, cap) for alpha in inputs]
+        assert outcomes == [chain_period(alpha, cap) for alpha in inputs]
+        periods = {len(o.period) for o in outcomes if isinstance(o, PeriodicStream)}
+        assert {107, 369} <= periods if cap > 369 else 107 in periods
+        assert any(isinstance(o, FiniteWord) for o in outcomes)
+
+    def test_scan_builds_no_surd_and_no_mat2(self, monkeypatch):
+        """On inputs that pass may_be_periodic, detect_period runs on
+        integer triples alone: no Surd and no Mat2 is constructed."""
+        from h4approx.cli import make_corpus
+
+        inputs = [alpha for alpha in make_corpus(1, 400, 5) if h4_expansion.may_be_periodic(alpha)]
+        inputs += [Surd.from_ratio(ZRt2(52, 14), ZRt2(7, 0)), Surd.from_ratio(ZRt2(5, 0), SQRT2), Surd.of(3)]
+        built = {Surd: 0, Mat2: 0}
+        real_post_init, real_mat2_init = Surd.__post_init__, Mat2.__init__
+
+        def counted_surd(self):
+            built[Surd] += 1
+            real_post_init(self)
+
+        def counted_mat2(self, *args):
+            built[Mat2] += 1
+            real_mat2_init(self, *args)
+
+        monkeypatch.setattr(Surd, "__post_init__", counted_surd)
+        monkeypatch.setattr(Mat2, "__init__", counted_mat2)
+        assert Surd.of(1) is not None and Mat2.identity() is not None
+        assert built == {Surd: 1, Mat2: 1}, "the counters must see construction"
+        built.update({Surd: 0, Mat2: 0})
+        streams = [detect_period(alpha) for alpha in inputs]
+        assert built == {Surd: 0, Mat2: 0}
+        assert sum(isinstance(s, PeriodicStream) for s in streams) == len(inputs) - 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([1, 2, 3]), max_size=5),

@@ -159,7 +159,9 @@ def best_approximations(
         assert prev_q_sq is None or prev_q_sq < q_sq, "denominators must increase"
         err = None
         if alpha is not None:
-            sq, sp = _signed(alpha, frac.q, frac.p)
+            # G_n ≥ 0 with det 1 puts v/w < α < t/u, so q·α − p is
+            # negative on t/u and positive on v/w.
+            sq, sp = (-frac.q, -frac.p) if side == "tu" else (frac.q, frac.p)
             # The error drops iff α·(sq − sq′) − (sp − sp′) < 0.
             assert prev is None or alpha.linear_sign(sq - prev[0], sp - prev[1]) < 0, "errors must decrease"
             prev = (sq, sp)

@@ -4,7 +4,8 @@ purely combinatorial regrouping of a digit expansion into either kind.
 
 Two independent digit pipelines exist on purpose: exact Gauss-map iteration
 (surd inputs) and block regrouping of the expansion word (any input).  They
-must agree wherever both apply.
+must agree wherever both apply, and the convergent functions check that
+they do.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import chain, islice
 from typing import Callable, Iterator
 
 from .exact_field import ONE, SQRT2, TWO, ZERO, Surd, ZRt2
-from .hecke_group import H4Fraction, IntMat, Mat2, as_mat2, canonicalize_pair, column_fraction
+from .hecke_group import H4Fraction, IntMat, Mat2, as_mat2, canonicalize_pair
 from .h4_expansion import DEFAULT_CAP, CapExceeded, Expansion, Source
 
 
@@ -170,18 +171,6 @@ def select_N(exp: Expansion, n: int) -> Mat2:
     return as_mat2(_selected(exp, n, dual_flip))
 
 
-def selector_fractions(exp: Expansion, kind: str, n_max: int) -> list[H4Fraction]:
-    """Deduplicated M_n·∞ (kind 'rosen') or N_n·∞ (kind 'dual-rosen') for
-    n from m(α)+1 to n_max, read off the integer state."""
-    flip = rosen_flip if kind == "rosen" else dual_flip
-    out: list[H4Fraction] = []
-    for n in range(exp.leading_threes() + 1, n_max + 1):
-        frac = column_fraction(_selected(exp, n, flip), "tu")
-        if not out or out[-1] != frac:
-            out.append(frac)
-    return out
-
-
 def _h4_letters_rosen(exp: Expansion) -> Iterator[str]:
     """Letters of M_n as a word in {A1J, A2, A3}, driven by the flip state
     σ_n; A1J toggles σ after its digit."""
@@ -274,36 +263,18 @@ def dual_from_h4(source: Source | Expansion, n_terms: int) -> CFExpansion:
 
 
 def rosen_convergents(alpha: Surd, i_max: int) -> list[ConvergentPair]:
-    """r_0..r_{i_max} by digit recurrence, cross-checked exactly against the
-    selector pipeline M_n·∞ over the same stretch of the expansion."""
+    """r_0..r_{i_max} by digit recurrence on the Gauss-map digits, which are
+    checked term by term against the regrouping of the expansion word."""
     cf = rosen_digits(alpha, i_max)
-    convs = cf.convergents()
-    exp = Expansion(alpha)
-    budget = cf.a0 + sum(t.a for t in cf.terms) + 4
-    selected = selector_fractions(exp, "rosen", budget)
-    overlap = min(len(selected), len(convs))
-    assert overlap >= i_max, "selector walk too short"
-    assert [c.frac for c in convs[:overlap]] == selected[:overlap], (
-        "digit recurrence and selector pipeline disagree"
-    )
-    return convs
+    word = rosen_from_h4(alpha, i_max)
+    assert (cf.a0, cf.terms) == (word.a0, word.terms), "Gauss map and word regrouping disagree"
+    return cf.convergents()
 
 
 def dual_rosen_convergents(alpha: Surd, i_max: int) -> list[ConvergentPair]:
-    """r̃_0..r̃_{i_max} by digit recurrence, cross-checked against N_n·∞.
-
-    The selector enumeration starts at r̃_0 or r̃_1 depending on whether the
-    first digits of the two expansions coincide; both starts are accepted."""
+    """r̃_0..r̃_{i_max} by digit recurrence on the Gauss-map digits, which are
+    checked term by term against the regrouping of the expansion word."""
     cf = dual_rosen_digits(alpha, i_max)
-    convs = cf.convergents()
-    exp = Expansion(alpha)
-    budget = abs(cf.a0) + sum(t.a for t in cf.terms) + 4
-    selected = selector_fractions(exp, "dual-rosen", budget)
-    fracs = [c.frac for c in convs]
-    offset = 0 if selected[:1] == fracs[:1] else 1
-    overlap = min(len(selected), len(fracs) - offset)
-    assert overlap >= i_max - offset, "selector walk too short"
-    assert fracs[offset : offset + overlap] == selected[:overlap], (
-        "digit recurrence and selector pipeline disagree"
-    )
-    return convs
+    word = dual_from_h4(alpha, i_max)
+    assert (cf.a0, cf.terms) == (word.a0, word.terms), "Gauss map and word regrouping disagree"
+    return cf.convergents()

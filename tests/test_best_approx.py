@@ -219,6 +219,25 @@ class TestPredicateErrors:
             for b in best_approximations(alpha, max_count=12):
                 assert b.err == abs(alpha * b.q - b.p)
 
+    def test_walk_signs_errors_off_the_column(self, monkeypatch):
+        """v/w < α < t/u fixes the sign of q·α − p by the emitting side, so
+        the walk's only linear_sign calls are the decreasing-error checks,
+        one per record after the first."""
+        from h4approx.cli import make_corpus
+
+        alpha = make_corpus(1, 5, 5)[3]
+        calls = []
+        linear_sign = Surd.linear_sign
+
+        def counting(self, c, d):
+            calls.append(1)
+            return linear_sign(self, c, d)
+
+        monkeypatch.setattr(Surd, "linear_sign", counting)
+        best = best_approximations(alpha, max_count=100)
+        assert len(best) == 100
+        assert len(calls) <= len(best) - 1
+
     def test_legendre_bounds_match_surd_arithmetic(self):
         from h4approx.hecke_group import denominator_ladder, numerators_near
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,6 @@ from h4approx.rosen_cf import (
     rosen_from_h4,
     select_M,
     select_N,
-    selector_fractions,
 )
 
 SURD17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))
@@ -52,6 +53,34 @@ def random_periodic_surd(word: list[int]) -> Surd | None:
     if x.is_sqrt2_rational():
         return None
     return x
+
+
+def selected_fractions(exp: Expansion, select, n_max: int) -> list:
+    """Deduplicated M_n·∞ (select_M) or N_n·∞ (select_N) for n from
+    m(α)+1 to n_max."""
+    out = []
+    for n in range(exp.leading_threes() + 1, n_max + 1):
+        m = select(exp, n)
+        frac = canonicalize_pair(m.t, m.u)
+        if not out or out[-1] != frac:
+            out.append(frac)
+    return out
+
+
+def assert_selectors_give_convergents(alpha: Surd, n_max: int) -> None:
+    """The selector theorem at the fraction level: M_n·∞ runs through the
+    Rosen convergents and N_n·∞ through the dual ones, from r̃_0 or r̃_1
+    depending on the window case."""
+    exp = Expansion(alpha)
+    rosen_sel = selected_fractions(exp, select_M, n_max)
+    rosen_dig = [c.frac for c in rosen_digits(alpha, n_max).convergents()]
+    assert rosen_sel and rosen_sel == rosen_dig[: len(rosen_sel)]
+    dual_sel = selected_fractions(exp, select_N, n_max)
+    dual_dig = [c.frac for c in dual_rosen_digits(alpha, n_max).convergents()]
+    if dual_sel[0] == dual_dig[0]:
+        assert dual_sel == dual_dig[: len(dual_sel)]
+    else:
+        assert dual_sel == dual_dig[1 : len(dual_sel) + 1]
 
 
 class TestGaussMapCap:
@@ -179,13 +208,16 @@ class TestPipelineAgreement:
         assert direct.terms == combinatorial.terms
 
     def test_regrouping_reads_only_the_digits_it_needs(self):
-        # The convergent cross-checks walk a0 + Σa + 4 digits; the regrouping
-        # walk must fit the same budget.
-        for gauss, regroup in ((rosen_digits, rosen_from_h4), (dual_rosen_digits, dual_from_h4)):
-            direct = gauss(SURD17, 10)
-            limit = direct.a0 + sum(t.a for t in direct.terms) + 4
-            combino = regroup(DigitBudget(SURD17, limit), 10)
-            assert (combino.a0, combino.terms) == (direct.a0, direct.terms)
+        # The regrouping walk must fit |a0| + Σa + 4 digits, the budget that
+        # the benchmark's wide_shallow caps its convergent walks by.
+        from h4approx.cli import make_corpus
+
+        for alpha in [SURD17, *make_corpus(seed=1, size=100, coeff_bound=5)]:
+            for gauss, regroup in ((rosen_digits, rosen_from_h4), (dual_rosen_digits, dual_from_h4)):
+                direct = gauss(alpha, 10)
+                limit = abs(direct.a0) + sum(t.a for t in direct.terms) + 4
+                combino = regroup(DigitBudget(alpha, limit), 10)
+                assert (combino.a0, combino.terms) == (direct.a0, direct.terms)
 
     def test_regrouping_walk_stops_at_the_expansion_cap(self):
         # All threes: A3 letters only, so no block ever closes.
@@ -216,17 +248,13 @@ class TestPipelineAgreement:
             assert m == (cf.a0 if cf.terms[0].eps == 1 else cf.a0 - 1)
 
     def test_selector_fractions_match_convergents_surd17(self):
-        exp = Expansion(SURD17)
-        rosen_sel = selector_fractions(exp, "rosen", 20)
-        rosen_dig = [c.frac for c in rosen_digits(SURD17, 25).convergents()]
-        assert rosen_sel == rosen_dig[: len(rosen_sel)]
-        dual_sel = selector_fractions(exp, "dual-rosen", 20)
-        dual_dig = [c.frac for c in dual_rosen_digits(SURD17, 25).convergents()]
-        # N_n·∞ may start at r̃_0 or r̃_1 depending on the window case.
-        if dual_sel[0] == dual_dig[0]:
-            assert dual_sel == dual_dig[: len(dual_sel)]
-        else:
-            assert dual_sel == dual_dig[1 : len(dual_sel) + 1]
+        assert_selectors_give_convergents(SURD17, 20)
+
+    def test_selector_fractions_match_convergents_on_corpus(self):
+        from h4approx.cli import make_corpus
+
+        for alpha in make_corpus(seed=1, size=20, coeff_bound=5):
+            assert_selectors_give_convergents(alpha, 40)
 
     def test_surd17_first_rosen_convergents(self):
         convs = [str(c.frac) for c in rosen_digits(SURD17, 3).convergents()]
@@ -240,6 +268,27 @@ class TestPipelineAgreement:
             assert len(rc) == 9 and rc[0].index == 0
             dc = dual_rosen_convergents(alpha, 8)
             assert len(dc) == 9
+
+    @pytest.mark.parametrize(
+        "regroup, convergents",
+        [("rosen_from_h4", "rosen_convergents"), ("dual_from_h4", "dual_rosen_convergents")],
+    )
+    def test_convergents_check_the_regrouping(self, monkeypatch, regroup, convergents):
+        # One changed term in the word route must trip the cross-check.
+        from h4approx import rosen_cf
+
+        honest = getattr(rosen_cf, regroup)
+
+        def tampered(source, n_terms):
+            cf = honest(source, n_terms)
+            last = cf.terms[-1]
+            return dataclasses.replace(cf, terms=(*cf.terms[:-1], RosenDigit(last.eps, last.a + 1)))
+
+        convergent_fn = getattr(rosen_cf, convergents)
+        assert len(convergent_fn(SURD17, 6)) == 7
+        monkeypatch.setattr(rosen_cf, regroup, tampered)
+        with pytest.raises(AssertionError, match="disagree"):
+            convergent_fn(SURD17, 6)
 
     def test_digit_map_equivalence_on_corpus(self):
         # Gauss-map iteration and word regrouping must agree for 50 digits

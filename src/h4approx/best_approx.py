@@ -4,22 +4,26 @@ denominator ladder, successor-case classification, and the two-constant
 (1/(2q²) sufficient, 1/q² necessary) classifier.
 
 The enumerator and the oracle are deliberately independent routes to the
-same sequence; the acceptance suite requires them to agree exactly.
+same sequence; the acceptance suite requires them to agree exactly.  They
+share only the field kernel: the enumerator reads the integer state of G_n,
+and the oracle scans the denominator ladder on integer bounds from one
+enclosure of α, with exact predicates where the bounds do not decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
-from .exact_field import Surd, ZRt2, zrt2_sign
+from .exact_field import ONE, SQRT2, ZERO, Surd, ZRt2, zrt2_sign
 from .hecke_group import (
     H4Fraction,
     canonicalize,
     canonicalize_pair,
     column_fraction,
+    coprime_neighbours,
     denominator_ladder,
     denominator_sq,
-    numerators_near,
 )
 from .h4_expansion import DEFAULT_CAP, CapExceeded, Expansion, Source
 from .rosen_cf import dual_flip, rosen_flip
@@ -27,6 +31,8 @@ from .rosen_cf import dual_flip, rosen_flip
 BEST_BY_SUFFICIENT = "best-by-sufficient"
 BEST_NOT_SUFFICIENT = "best-but-not-sufficient"
 NOT_BEST = "not-best"
+
+_ORACLE_BITS = 64  # the oracle encloses α, α√2 and √2 to within 2^-64
 
 
 @dataclass(frozen=True)
@@ -218,23 +224,66 @@ def oracle_best_approximations(
 
     At each denominator only the nearest admissible numerator on each side
     can set a record; a tie inside one denominator would force the value
-    into √2·Q and cannot occur."""
+    into √2·Q and cannot occur.
+
+    The scan decides on plain ints, from one outward-rounded enclosure in
+    the manner of Moore's interval arithmetic: two exact floor_linear calls
+    give A ≤ α·2^k < A + 1 and B < α√2·2^k < B + 1, and isqrt gives
+    R < √2·2^k < R + 1, for k = _ORACLE_BITS.  Each denominator's floor,
+    nearer numerator and record comparison is read off integer bounds, and
+    the exact predicate on alpha decides only when the bounds straddle the
+    boundary.  The bounds are about q·2^−k wide.  The margins they resolve
+    are differences |q″·α − p″| with q″ ≤ 2q: how far y is from an integer
+    or from the midpoint of its two numerators, or how far apart two errors
+    are.  Those are nonzero unless α lies in Q(√2), and at the denominators
+    an oracle scans they are far wider than q·2^−k, so in practice the
+    predicates run only where two errors tie, as they can for values in
+    Q(√2) such as 1."""
     if alpha.sign() <= 0 or alpha.is_sqrt2_rational():
         raise ValueError("oracle requires a positive value outside √2·Q")
+    k = _ORACLE_BITS
+    A = alpha.floor_linear(ZRt2(1 << k, 0), ZERO, ONE)
+    B = alpha.floor_linear(ZRt2(0, 1 << k), ZERO, ONE)
+    R = isqrt(2 << 2 * k)
     records: list[H4Fraction] = []
-    best: tuple[ZRt2, ZRt2] | None = None  # the record's (s·q, s·p), s the sign of q·α − p
+    # The record's bounds on |q·α − p|·2^k and its exact (s·q, s·p), s the sign of q·α − p.
+    best: tuple[int, int, ZRt2, ZRt2] | None = None
     for scanned, q in enumerate(denominator_ladder(q_max), start=1):
         if scanned > cap:
             raise CapExceeded(f"oracle scan did not finish within {cap} denominators")
-        lo, hi = numerators_near(alpha, q)
-        # lo < q·α < hi, so lo is nearer iff 2q·α < lo + hi.
-        c = alpha.linear_sign(q + q, lo + hi)
-        assert c != 0, "numerator tie would put the value in √2·Q"
-        p, sq, sp = (lo, q, lo) if c < 0 else (hi, -q, -hi)
-        # |q·α − p| = α·sq − sp beats the record iff α·(sq − sq′) − (sp − sp′) < 0.
-        if best is None or alpha.linear_sign(sq - best[0], sp - best[1]) < 0:
-            records.append(canonicalize_pair(p, q))
-            best = (sq, sp)
+        # Odd q = c takes numerators √2·a and y = q·α/√2; q = √2·c takes
+        # numerators a and y = q·α.  Either way c·B < y·2^h < c·B + c.
+        odd = q.a != 0
+        c, h = (q.a, k + 1) if odd else (q.b, k)
+        y_lo, y_hi = c * B, c * B + c
+        f = y_lo >> h
+        if (y_hi - 1) >> h != f:
+            f = alpha.floor_linear(q, ZERO, SQRT2 if odd else ONE)
+        a_lo, a_hi = coprime_neighbours(f, c, odd)
+        # a_lo < y < a_hi, so a_lo is nearer iff 2y < a_lo + a_hi.
+        mid = (a_lo + a_hi) << h
+        near_lo = 2 * y_hi <= mid
+        if not near_lo and 2 * y_lo < mid:
+            # The sign of 2q·α − (lo + hi), with 2q > 0.
+            ends = (0, a_lo + a_hi) if odd else (a_lo + a_hi, 0)
+            sign = alpha.linear_sign_ints(2 * q.a, 2 * q.b, *ends)
+            assert sign != 0, "numerator tie would put the value in √2·Q"
+            near_lo = sign < 0
+        a = a_lo if near_lo else a_hi
+        # Bounds on (q·α − p)·2^k: c·α − √2·a for odd q, c·α√2 − a otherwise.
+        if odd:
+            z_lo, z_hi = c * A - a * R - max(a, 0), c * A + c - a * R - min(a, 0)
+        else:
+            z_lo, z_hi = y_lo - (a << k), y_hi - (a << k)
+        e_lo, e_hi = (z_lo, z_hi) if near_lo else (-z_hi, -z_lo)
+        beats = best is None or e_hi < best[0]
+        if beats or e_lo < best[1]:
+            p = ZRt2(0, a) if odd else ZRt2(a, 0)
+            sq, sp = (q, p) if near_lo else (-q, -p)
+            # |q·α − p| = α·sq − sp beats the record iff α·(sq − sq′) − (sp − sp′) < 0.
+            if beats or alpha.linear_sign(sq - best[2], sp - best[3]) < 0:
+                records.append(canonicalize_pair(p, q))
+                best = (e_lo, e_hi, sq, sp)
     return records
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2, surd_mobius
+from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2, surd_mobius, zrt2_sign
 
 
 class NotInQH4(ValueError):
@@ -277,44 +277,47 @@ def ford_radius(x: H4Fraction) -> QRt2:
 
 def denominator_ladder(max_value: int | ZRt2) -> Iterator[ZRt2]:
     """All canonical denominators with value ≤ max_value, ascending:
-    1, √2, 2√2, 3, 3√2, 5, ...  (odd integers and √2-multiples)."""
+    1, √2, 2√2, 3, 3√2, 5, ...  (odd integers and √2-multiples).  The
+    steps compare on ints: an odd c lies below c′√2 iff c² < 2c′²."""
     bound = ZRt2.of(max_value)
     odd_c = 1
     rt2_c = 1
     while True:
-        odd = ZRt2(odd_c, 0)
-        rt2 = ZRt2(0, rt2_c)
-        pick_odd = odd.cmp(rt2) < 0
-        nxt = odd if pick_odd else rt2
-        if nxt.cmp(bound) > 0:
+        pick_odd = odd_c * odd_c < 2 * rt2_c * rt2_c
+        a, b = (odd_c, 0) if pick_odd else (0, rt2_c)
+        if zrt2_sign(a - bound.a, b - bound.b) > 0:
             break
-        yield nxt
+        yield ZRt2(a, b)
         if pick_odd:
             odd_c += 2
         else:
             rt2_c += 1
 
 
+def coprime_neighbours(f: int, c: int, odd: bool) -> tuple[int, int]:
+    """The coefficients of the admissible numerators next to a value y,
+    given f = ⌊y⌋: the largest a ≤ f and the smallest a > f with
+    gcd(a, c) = 1, and with a odd as well when q = √2·c.  For the canonical
+    denominator q = c (odd) the numerators are √2·a and y = q·α/√2; for
+    q = √2·c they are a and y = q·α."""
+    if odd:
+        lo, hi, step, m = f, f + 1, 1, c
+    else:
+        lo = f if f % 2 else f - 1
+        hi, step, m = lo + 2, 2, 2 * c
+    while gcd(lo, m) != 1:
+        lo -= step
+    while gcd(hi, m) != 1:
+        hi += step
+    return lo, hi
+
+
 def numerators_near(alpha: Surd, q: ZRt2) -> list[ZRt2]:
     """Nearest admissible numerators on each side of q·α for the canonical
     denominator q: at most one coprime candidate below and one above.
     The floors of q·α and q·α/√2 are exact predicates on alpha."""
-    out: list[ZRt2] = []
     if q.a != 0:
-        # q odd: numerators √2·a with gcd(a, q) = 1.
-        c = q.a
-        a0 = alpha.floor_linear(q, ZERO, SQRT2)
-        for a, step in ((a0, -1), (a0 + 1, +1)):
-            while gcd(a, c) != 1:
-                a += step
-            out.append(ZRt2(0, a))
-    else:
-        # q = √2·c: numerators odd a with gcd(a, 2c) = 1.
-        c = q.b
-        f = alpha.floor_linear(q, ZERO, ONE)
-        a0 = f if f % 2 else f - 1
-        for a, step in ((a0, -2), (a0 + 2, +2)):
-            while gcd(a, 2 * c) != 1:
-                a += step
-            out.append(ZRt2(a, 0))
-    return out
+        lo, hi = coprime_neighbours(alpha.floor_linear(q, ZERO, SQRT2), q.a, True)
+        return [ZRt2(0, lo), ZRt2(0, hi)]
+    lo, hi = coprime_neighbours(alpha.floor_linear(q, ZERO, ONE), q.b, False)
+    return [ZRt2(lo, 0), ZRt2(hi, 0)]

@@ -2,9 +2,10 @@
 uniform constant for eventually periodic expansions, witnesses for the
 uniform (Dirichlet-type) theorem, and the two sharpness digit streams.
 
-Every record is pinned two ways for exact inputs: by the closed-form case
-expression in (α_n, α*_n) and by direct multiplication; the two must agree
-exactly.
+Every record of an exact input is α·c − d with c, d in Z[√2], pinned two
+ways: by the closed-form case expression in (α_n, α*_n), whose coefficients
+are read off the integer state of G_n, and by direct multiplication
+q′·|q·α − p|.  The two coefficient pairs must be equal.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .exact_field import ONE, SQRT2, QRt2, Surd, ZRt2, quad_root
 from .hecke_group import (
-    DIGIT_MATRICES, DIGIT_MATRICES_INV, IDENTITY, H4Fraction, as_mat2, column_fraction, times_digit,
+    DIGIT_MATRICES, DIGIT_MATRICES_INV, IDENTITY, H4Fraction, IntMat, as_mat2, column, column_fraction, times_digit,
 )
 from .h4_expansion import (
     DEFAULT_CAP,
@@ -79,36 +80,65 @@ def case_value(case: str, an, astar):
     return num / den
 
 
+def _case_coefficients(case: str, g: IntMat) -> tuple[ZRt2, ZRt2]:
+    """(c, d) with case_value(case, α_n, α*_n) = α·c − d, read off the state
+    of G_n = [[t, v], [u, w]].  det G_n = 1 gives α_n = (wα − v)/(t − uα),
+    α*_n = w/u and α_n + α*_n = 1/(u(t − uα)), so the b cases are
+    k·(t − uα) and the m cases k·(wα − v), for k = w, w + √2u or √2w + u."""
+    ua, ub, ta, tb = column(g, "tu")
+    wa, wb, va, vb = column(g, "vw")
+    t, u, v, w = ZRt2(ta, tb), ZRt2(ua, ub), ZRt2(va, vb), ZRt2(wa, wb)
+    if case == "b1":
+        k = w
+    elif case == "m1":
+        k = u
+    elif case in ("b2", "m3"):
+        k = w + SQRT2 * u
+    else:
+        k = SQRT2 * w + u
+    return (-k * u, -k * t) if case[0] == "b" else (k * w, k * v)
+
+
 _CASE_DECREASING_IN_TAIL = {"b1", "b2", "b3"}
 
 
 def uniform_sequence(
     source: Source | Expansion, count: int, cap: int = DEFAULT_CAP
 ) -> list[UniformRecord]:
-    """First `count` records.  For exact inputs each value is computed both
-    by case expression and directly from the fractions, asserted equal, and
-    asserted to lie strictly in (1/2, (√2+1)/2).  The walk raises
-    CapExceeded past `cap` indices, as in best_approximations, and so do
-    the leading run of 3s and a stream's tail window."""
+    """First `count` records.  For exact inputs each value is α·c − d with
+    c, d in Z[√2], pinned by two routes as coefficient pairs: the direct
+    product q′·|q·α − p| gives (c, d) = s·(q·q′, p·q′), with s = −1 on t/u
+    and +1 on v/w as in the walk, and the case expression at (α_n, α*_n)
+    gives (c, d) off the integer state of G_n.  The two pairs must be
+    equal, and the value must lie strictly in (1/2, (√2+1)/2), which is two
+    exact signs; the record's Surd is built once, from (c, d).  The walk
+    raises CapExceeded past `cap` indices, as in best_approximations, and
+    so do the leading run of 3s and a stream's tail window."""
     if count < 0:
         raise ValueError(f"record count must not be negative, got {count}")
     exp = source if isinstance(source, Expansion) else Expansion(source, cap)
     best = best_approximations(exp, max_count=count + 1, cap=cap)
+    alpha = exp.alpha
     out: list[UniformRecord] = []
     for i, (cur, nxt) in enumerate(zip(best, best[1:]), start=1):
         case, nside, nn = successor_case(exp, cur.side, cur.n_last)
         assert column_fraction(exp.state(nn), nside) == nxt.frac, "successor table disagrees with enumeration"
         n = cur.n_last
-        g = exp.matrix(n)
-        if exp.alpha is not None:
-            assert not g.u.is_zero()
-            value = case_value(case, exp.tail(n), Surd.from_ratio(g.w, g.u))
-            assert cur.err is not None
-            direct = cur.err * nxt.frac.q
-            assert value.cmp(direct) == 0, "case expression must match direct product"
-            assert HALF.cmp(value) < 0 < UPPER.cmp(value), "record out of range"
+        if alpha is not None:
+            s = -1 if cur.side == "tu" else 1
+            m, e = cur.frac.q * nxt.frac.q, cur.frac.p * nxt.frac.q
+            c, d = (m, e) if s > 0 else (-m, -e)
+            assert _case_coefficients(case, exp.state(n)) == (c, d), "case expression must match direct product"
+            # α·c − d = s·(α·m − e) with m > 0: above 1/2 iff α·2m − (2e + s)
+            # has sign s, below (1 + √2)/2 iff α·2m − (2e + s + s√2) has sign −s.
+            assert (
+                alpha.linear_sign_ints(2 * m.a, 2 * m.b, 2 * e.a + s, 2 * e.b) == s
+                and alpha.linear_sign_ints(2 * m.a, 2 * m.b, 2 * e.a + s, 2 * e.b + s) == -s
+            ), "record out of range"
+            value = Surd(alpha.P * c - d * alpha.S, alpha.Q * c, alpha.D, alpha.S)
             out.append(UniformRecord(i, case, n, value))
         else:
+            g = exp.matrix(n)
             lo, hi = exp.tail_bounds(n, tol_digits=12)
             star_q = QRt2.from_ratio(g.w, g.u)
             v1 = case_value(case, lo, star_q)

@@ -185,6 +185,75 @@ def surd_subtraction_oracle(alpha: Surd, q_max: int) -> list:
     return records
 
 
+def spy_oracle_predicates(monkeypatch) -> dict:
+    """Count the exact predicates the oracle can fall back to: floor_linear,
+    linear_sign, and linear_sign_ints when not called from linear_sign."""
+    calls = {"floor_linear": 0, "linear_sign": 0, "linear_sign_ints": 0}
+    inside_linear_sign = []
+    floor_linear, linear_sign, linear_sign_ints = Surd.floor_linear, Surd.linear_sign, Surd.linear_sign_ints
+
+    def counting_floor(self, c, e, u):
+        calls["floor_linear"] += 1
+        return floor_linear(self, c, e, u)
+
+    def counting_sign(self, c, d):
+        calls["linear_sign"] += 1
+        inside_linear_sign.append(True)
+        try:
+            return linear_sign(self, c, d)
+        finally:
+            inside_linear_sign.pop()
+
+    def counting_ints(self, ca, cb, da, db):
+        if not inside_linear_sign:
+            calls["linear_sign_ints"] += 1
+        return linear_sign_ints(self, ca, cb, da, db)
+
+    monkeypatch.setattr(Surd, "floor_linear", counting_floor)
+    monkeypatch.setattr(Surd, "linear_sign", counting_sign)
+    monkeypatch.setattr(Surd, "linear_sign_ints", counting_ints)
+    return calls
+
+
+class TestOracleEnclosure:
+    """The oracle reads each floor, nearer numerator and record comparison
+    off integer bounds from one enclosure of α; the exact predicates decide
+    only where the bounds straddle a boundary."""
+
+    @pytest.mark.parametrize("bits", [2, 3, 4])
+    def test_fallbacks_fire_and_agree_at_low_precision(self, monkeypatch, bits):
+        from h4approx import best_approx
+        from h4approx.cli import make_corpus
+
+        alphas = [SURD17, Surd.of(1), Surd.of(ZRt2(1, 1)), *make_corpus(1, 30, 5)]
+        want = [surd_subtraction_oracle(alpha, 80) for alpha in alphas]
+        monkeypatch.setattr(best_approx, "_ORACLE_BITS", bits)
+        calls = spy_oracle_predicates(monkeypatch)
+        assert [oracle_best_approximations(alpha, 80) for alpha in alphas] == want
+        assert calls["floor_linear"] > 2 * len(alphas), "no floor fell back"
+        assert calls["linear_sign_ints"] > 0, "no nearer numerator fell back"
+        assert calls["linear_sign"] > 0, "no record comparison fell back"
+
+    def test_default_precision_decides_on_ints(self, monkeypatch):
+        from h4approx.cli import make_corpus
+
+        calls = spy_oracle_predicates(monkeypatch)
+        assert oracle_best_approximations(Surd.of(1), 1) and calls["floor_linear"] == 2, "the spy must see floors"
+        for alpha in make_corpus(1, 30, 5):
+            calls["floor_linear"] = 0
+            assert oracle_best_approximations(alpha, 150)
+            assert calls["floor_linear"] == 2
+        assert calls["linear_sign"] == calls["linear_sign_ints"] == 0
+
+    def test_error_ties_fall_back_at_default_precision(self, monkeypatch):
+        """α = 1 has errors that tie across denominators, which no bound
+        separates; the exact comparison keeps the earlier record."""
+        want = surd_subtraction_oracle(Surd.of(1), 150)
+        calls = spy_oracle_predicates(monkeypatch)
+        assert oracle_best_approximations(Surd.of(1), 150) == want
+        assert calls["linear_sign"] > 0
+
+
 class TestPredicateErrors:
     """The oracle, the enumerator's error checks and the Legendre bounds
     decide with exact signs; their answers match Surd arithmetic."""

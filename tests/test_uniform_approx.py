@@ -15,6 +15,7 @@ from h4approx.uniform_approx import (
     UPPER,
     KResult,
     NonPeriodicInput,
+    _case_coefficients,
     case_value,
     dirichlet_sweep,
     dirichlet_witness,
@@ -77,6 +78,88 @@ class TestUniformSequence:
             assert s.lo is not None and s.hi is not None
             assert e.value is not None
             assert Surd.of(s.lo).cmp(e.value) <= 0 <= Surd.of(s.hi).cmp(e.value)
+
+
+def assert_case_coefficients_match_tail_route(alpha: Surd, count: int) -> None:
+    """Every record's case coefficients (c, d) give α·c − d equal to the
+    case expression at the exact tail α_n = G_n⁻¹·α and α*_n = w_n/u_n,
+    and equal to the record's value."""
+    exp = Expansion(alpha)
+    seq = uniform_sequence(exp, count)
+    assert len(seq) == count
+    for r in seq:
+        c, d = _case_coefficients(r.case, exp.state(r.n))
+        g = exp.matrix(r.n)
+        reference = case_value(r.case, exp.tail(r.n), Surd.from_ratio(g.w, g.u))
+        assert alpha * c - d == reference == r.value
+
+
+class TestCaseCoefficients:
+    """The case route of uniform_sequence is a coefficient pair read off the
+    state of G_n; the tail-and-reversal route stays here as its reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=6))
+    def test_random_periodic_surds(self, word):
+        alpha = random_periodic_surd(word)
+        if alpha is None:
+            return
+        assert_case_coefficients_match_tail_route(alpha, 12)
+
+    def test_corpus(self):
+        from h4approx.cli import make_corpus
+
+        for alpha in make_corpus(1, 20, 5):
+            assert_case_coefficients_match_tail_route(alpha, 12)
+
+    def test_wrong_case_is_caught(self, monkeypatch):
+        from h4approx import uniform_approx
+
+        assert len(uniform_sequence(SURD17, 12)) == 12
+        wrong = {"b1": "b2", "b2": "b3", "b3": "b1", "m1": "m2", "m2": "m3", "m3": "m1"}
+        successor_case = uniform_approx.successor_case
+
+        def lying(exp, side, n):
+            case, nside, nn = successor_case(exp, side, n)
+            return wrong[case], nside, nn
+
+        monkeypatch.setattr(uniform_approx, "successor_case", lying)
+        with pytest.raises(AssertionError, match="case expression must match direct product"):
+            uniform_sequence(SURD17, 12)
+
+    def test_records_build_one_surd_each_and_no_matrix(self, monkeypatch):
+        """Past the walk, a record costs one Surd normalization: no Mat2, no
+        exact tail, no G_n over Z[√2] and no decimal enclosure."""
+        from h4approx.best_approx import best_approximations
+        from h4approx.cli import make_corpus
+
+        alpha = make_corpus(1, 5, 5)[3]
+        counts = {"Mat2": 0, "tail": 0, "matrix": 0, "enclosure": 0, "surd": 0}
+
+        def count(owner, name, key):
+            orig = getattr(owner, name)
+
+            def counting(self, *args):
+                counts[key] += 1
+                return orig(self, *args)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(Mat2, "__init__", "Mat2")
+        count(Expansion, "tail", "tail")
+        count(Expansion, "matrix", "matrix")
+        count(Surd, "enclosure", "enclosure")
+        count(Surd, "__post_init__", "surd")
+        assert Expansion(SURD17).matrix(1) is not None
+        assert counts == {"Mat2": 1, "tail": 0, "matrix": 1, "enclosure": 0, "surd": 0}, "the counters must see calls"
+        counts.update(dict.fromkeys(counts, 0))
+        best_approximations(Expansion(alpha), max_count=101)
+        walk = counts["surd"]
+        counts.update(dict.fromkeys(counts, 0))
+        seq = uniform_sequence(alpha, 100)
+        assert len(seq) == 100
+        assert counts["surd"] <= walk + len(seq)
+        assert counts == {"Mat2": 0, "tail": 0, "matrix": 0, "enclosure": 0, "surd": counts["surd"]}
 
 
 class TestKExact:

@@ -3,16 +3,18 @@ d_n in {1,2,3}, the convergent matrix chain G_n, exact tails, reversals,
 and periodicity detection.
 
 Two interchangeable backends drive everything downstream: an exact surd
-(every digit and tail question is the sign of α·c − d with c, d read off
-the integer state of G_n; tails on demand from G_n) and a symbolic digit
-stream (digits prescribed by a rule; tail questions answered
-combinatorially).  Period detection scans β = α/√2 as integer triples.
+(digits read off a 128-bit integer box around the tail, as Lehmer reads
+quotients off leading words, with the sign of α·c − d for c, d read off
+the integer state of G_n wherever the box holds a boundary; tails on
+demand from G_n) and a symbolic digit stream (digits prescribed by a rule;
+tail questions answered combinatorially).  Period detection scans
+β = α/√2 as integer triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 from operator import add
 from typing import Callable, Union
 
@@ -194,13 +196,96 @@ STREAM_RULES = {
 Source = Union[Surd, DigitStream]
 
 
+def _box_scale(k: int) -> tuple[int, int, int, int, int]:
+    """The integers of a tail box at 2^−k: k, 2^k, 4^k, R = ⌊√2·2^k⌋ and
+    I = ⌊2^k/√2⌋.  Both roots are irrational, so for an integer X,
+    X·2^−k < 1/√2 ⟺ X ≤ I and X·2^−k > √2 ⟺ X > R."""
+    return k, 1 << k, 1 << 2 * k, isqrt(2 << 2 * k), isqrt(1 << 2 * k - 1)
+
+
+_SCALE = _box_scale(128)  # the tail box α_n ∈ [L, H]·2^−K of the surd backend, K = 128
+_GUARD = 64  # bits of α's enclosure beyond 2·bits(G_n) + K at a refresh
+
+
+def _box_digit(box: tuple[int, int] | None) -> int:
+    """The cylinder that holds the box [L, H]·2^−K: 1 when 2H² < 4^K, 3 when
+    L² > 2·4^K, 2 when 2L² > 4^K and H² < 2·4^K; 0 when the box holds a
+    boundary or there is no box."""
+    if box is None:
+        return 0
+    _, _, _, r, i = _SCALE
+    lo, hi = box
+    if hi <= i:
+        return 1
+    if lo > r:
+        return 3
+    return 2 if lo > i and hi <= r else 0
+
+
+def _box_step(box: tuple[int, int], d: int) -> tuple[int, int] | None:
+    """The box of the next tail A_d⁻¹·x over x in [L, H]·2^−K, with √2 in
+    [R, R + 1]·2^−K and every end rounded outward; None (the box is
+    dropped) when a rounded denominator or the new lower end is not
+    positive.  The three maps x − √2, x/(1 − √2x) and (√2x − 1)/(√2 − x)
+    increase in x on their cylinders.  In √2 the first decreases and the
+    second increases; the third has derivative (1 − x²)/(√2 − x)², so its
+    lower end takes R when L ≤ 2^K and R + 1 above, its upper end the other
+    way round."""
+    _, one, sq, r, _ = _SCALE
+    lo, hi = box
+    if d == 3:
+        lo, hi = lo - r - 1, hi - r
+    elif d == 1:
+        den = sq - (r + 1) * hi
+        if den <= 0:
+            return None
+        lo, hi = lo * sq // (sq - r * lo), -(-hi * sq // den)
+    else:
+        if hi >= r:
+            return None
+        s = r if lo <= one else r + 1
+        t = r + 1 if hi <= one else r
+        lo, hi = (s * lo - sq) // (s - lo), -((sq - t * hi) // (t - hi))
+    return (lo, hi) if lo > 0 else None
+
+
+def _fixed_bounds(alpha: Surd, b: int) -> tuple[int, int, int, int, int, int]:
+    """(b, A, A′, C, C′, R₂): integers with A ≤ α·2^b ≤ A′, C ≤ α√2·2^b ≤ C′
+    and R₂ = ⌊√2·2^b⌋, for α = (P + Q√D)/S, from isqrt alone.  Every term
+    is enclosed at 2^−b, √D as isqrt of D·4^b, and Q·√D by the corners of
+    its two intervals; α√2 is (P√2 + Q√2·√D)/S."""
+    r2 = isqrt(2 << 2 * b)
+    one = 1 << b
+
+    def scaled(x: int, y: int) -> tuple[int, int]:  # x + y√2 at 2^−b
+        base = x * one + y * r2
+        return (base, base + y) if y >= 0 else (base + y, base)
+
+    P, Q, D = alpha.P, alpha.Q, alpha.D
+    den = alpha.S.a << b
+    d_lo, d_hi = scaled(D.a, D.b)
+    roots = (isqrt(max(d_lo, 0) << b), isqrt(d_hi << b) + 1)
+    out = [b]
+    for pa, pb, qa, qb in ((P.a, P.b, Q.a, Q.b), (2 * P.b, P.a, 2 * Q.b, Q.a)):
+        p_lo, p_hi = scaled(pa, pb)
+        corners = [q * root for q in scaled(qa, qb) for root in roots]
+        out += [((p_lo << b) + min(corners)) // den, -(-((p_hi << b) + max(corners)) // den)]
+    return (*out, r2)
+
+
 class Expansion:
     """Lazy digit/convergent engine over either backend.
 
     Digits and the integer state (T, V, U, W, parity) of each G_n are
-    cached as the walk advances; a surd backend keeps only α besides them
-    and builds tails on demand from G_n.  Since G_n is increasing on (0, ∞),
-    α_n < x ⟺ α < G_n·x, so every digit is one exact predicate
+    cached as the walk advances, and every read of a cached index skips
+    _extend.  A surd backend keeps α besides them, an integer box
+    α_n ∈ [L, H]·2^−K around the current tail, and integer bounds on α for
+    rebuilding that box; tails are built on demand from G_n.  The box
+    decides each digit whose cylinder holds it and steps to the next tail
+    with outward rounding, so the G_n-sized numbers are touched only to
+    rebuild it, every few hundred digits on a typical surd.  Where a fresh
+    box still holds a boundary, the digit is the exact _surd_step: since
+    G_n is increasing on (0, ∞), α_n < x ⟺ α < G_n·x, one predicate
     α.linear_sign_ints(c, d) with c, d the integer halves of a column of
     G_n·A_d.  The digit word decides where α_n and α*_n lie against 1: A1
     maps (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is
@@ -214,6 +299,8 @@ class Expansion:
         self._states: list[IntMat] = [IDENTITY]
         self._stars: list[int] = [1]  # sign(α*_n − 1); α*_0 = ∞
         self._boundary: str | None = None
+        self._box: tuple[int, int] | None = None  # α_n ∈ [L, H]·2^−K at n = len(_digits)
+        self._fixed: tuple[int, ...] | None = None  # _fixed_bounds of α, at the largest b used
         if isinstance(source, Surd):
             if source.sign() <= 0:
                 raise ValueError("expansion requires a positive value")
@@ -240,7 +327,7 @@ class Expansion:
                         raise ValueError(f"digit {d!r} at index {len(self._digits) + 1} is not 1, 2 or 3")
                     g = times_digit(self._states[-1], d)
                 else:
-                    d, g = self._surd_step(self._states[-1])
+                    d, g = self._surd_digit(self._states[-1])
             except Terminated as exc:
                 self._boundary = exc.boundary
                 continue
@@ -248,8 +335,54 @@ class Expansion:
             self._states.append(g)
             self._stars.append(_OUTER_SIGN.get(d, self._stars[-1]))
 
+    def _surd_digit(self, g: IntMat) -> tuple[int, IntMat]:
+        """The digit after G = G_n and G·A_d, read off the tail box when it
+        lies in one cylinder.  A box that holds a boundary, or was dropped,
+        is rebuilt from G once; when the fresh box holds a boundary too, the
+        exact _surd_step decides, and the box is rebuilt at the next digit.
+        A √2·Q value puts its boundary in every box, so it ends in
+        _surd_step's Terminated at the same call as the exact chain."""
+        d = _box_digit(self._box)
+        if not d:
+            self._box = self._refresh(g)
+            d = _box_digit(self._box)
+            if not d:
+                self._box = None
+                return self._surd_step(g)
+        self._box = _box_step(self._box, d)
+        return d, times_digit(g, d)
+
+    def _refresh(self, g: IntMat) -> tuple[int, int] | None:
+        """The tail box of α_n = N/M, N = wα − v and M = t − uα for
+        G = G_n = [[t, v], [u, w]], or None when an end of N or M is not
+        positive.  The entries are ≥ 0 and each is one integer times 1 or
+        √2, so N and M are enclosed by integer combinations of the bounds
+        on α, α√2 and √2 at 2^−b.  det G = 1 makes N and M about 1/|G|, so
+        b ≥ 2·bits(G) + K + _GUARD leaves K bits and more in N/M; b only
+        doubles, and the bounds are kept for the next refresh."""
+        T, V, U, W, par = g
+        k = _SCALE[0]
+        need = 2 * max(T.bit_length(), V.bit_length(), U.bit_length(), W.bit_length()) + k + _GUARD
+        fixed = self._fixed
+        if fixed is None or fixed[0] < need:
+            b = 256 if fixed is None else fixed[0]
+            while b < need:
+                b *= 2
+            fixed = self._fixed = _fixed_bounds(self.alpha, b)
+        b, a_lo, a_hi, c_lo, c_hi, r2 = fixed
+        if par:  # [[T√2, V], [U, W√2]]
+            n_lo, n_hi = W * c_lo - (V << b), W * c_hi - (V << b)
+            m_lo, m_hi = T * r2 - U * a_hi, T * (r2 + 1) - U * a_lo
+        else:  # [[T, V√2], [U√2, W]]
+            n_lo, n_hi = W * a_lo - V * (r2 + 1), W * a_hi - V * r2
+            m_lo, m_hi = (T << b) - U * c_hi, (T << b) - U * c_lo
+        if n_lo <= 0 or m_lo <= 0:
+            return None
+        return (n_lo << k) // m_hi, -((-n_hi << k) // m_lo)
+
     def _surd_step(self, g: IntMat) -> tuple[int, IntMat]:
-        """The digit after G = G_n and G·A_d, from at most two signs.  The
+        """The exact digit after G = G_n and G·A_d, from at most two signs:
+        the fallback of _surd_digit when the tail box holds a boundary.  The
         new columns G·A1·∞ and G·A3·0 are the images of the boundaries 1/√2
         and √2, so α_n against 1/√2 is α against the left column of G·A1,
         and α_n against √2 is α against the right column of G·A3.  Each
@@ -272,7 +405,8 @@ class Expansion:
         return 3, g3
 
     def digit(self, n: int) -> int:
-        self._extend(n)
+        if n > len(self._digits):
+            self._extend(n)
         return self._digits[n - 1]
 
     def word(self, n: int) -> tuple[int, ...]:
@@ -281,7 +415,8 @@ class Expansion:
 
     def state(self, n: int) -> IntMat:
         """G_n as its integer state (T, V, U, W, parity)."""
-        self._extend(n)
+        if n > len(self._digits):
+            self._extend(n)
         return self._states[n]
 
     def matrix(self, n: int) -> Mat2:
@@ -319,7 +454,8 @@ class Expansion:
         """Sign of α*_n − 1, α*_n = w_n/u_n = A_{d_n}···A_{d_1}·∞, kept as the
         digits arrive: A1 maps (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2
         fixes 1 and is increasing, so the last digit other than 2 decides."""
-        self._extend(n)
+        if n > len(self._digits):
+            self._extend(n)
         return self._stars[n]
 
     def leading_threes(self) -> int:

@@ -267,7 +267,8 @@ def rosen_convergents(alpha: Surd, i_max: int) -> list[ConvergentPair]:
     checked term by term against the regrouping of the expansion word."""
     cf = rosen_digits(alpha, i_max)
     word = rosen_from_h4(alpha, i_max)
-    assert (cf.a0, cf.terms) == (word.a0, word.terms), "Gauss map and word regrouping disagree"
+    if (cf.a0, cf.terms) != (word.a0, word.terms):  # a real check under python -O too
+        raise AssertionError("Gauss map and word regrouping disagree")
     return cf.convergents()
 
 
@@ -276,5 +277,6 @@ def dual_rosen_convergents(alpha: Surd, i_max: int) -> list[ConvergentPair]:
     checked term by term against the regrouping of the expansion word."""
     cf = dual_rosen_digits(alpha, i_max)
     word = dual_from_h4(alpha, i_max)
-    assert (cf.a0, cf.terms) == (word.a0, word.terms), "Gauss map and word regrouping disagree"
+    if (cf.a0, cf.terms) != (word.a0, word.terms):  # a real check under python -O too
+        raise AssertionError("Gauss map and word regrouping disagree")
     return cf.convergents()

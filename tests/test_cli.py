@@ -312,14 +312,14 @@ class TestCountsAndBudgets:
         """2,000,000 starts with over a million 3s: the run of leading 3s
         counts against the cap, so at most cap + 1 digits are expanded."""
         steps = 0
-        real_step = Expansion._surd_step
+        real_step = Expansion._surd_digit
 
         def counted_step(self, g):
             nonlocal steps
             steps += 1
             return real_step(self, g)
 
-        monkeypatch.setattr(Expansion, "_surd_step", counted_step)
+        monkeypatch.setattr(Expansion, "_surd_digit", counted_step)
         big = '{"P":[2000000,0],"Q":[0,0],"D":[1,0],"S":[1,0]}'
         assert run([*command, "--alpha", big, "--cap-iterations", "10"]) == 3
         captured = capsys.readouterr()

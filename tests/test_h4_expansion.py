@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from h4approx import h4_expansion
 from h4approx.exact_field import ONE, SQRT2, QRt2, Surd, ZRt2
-from h4approx.hecke_group import DIGIT_MATRICES, DIGIT_MATRICES_INV, Mat2
+from h4approx.hecke_group import DIGIT_MATRICES, DIGIT_MATRICES_INV, IDENTITY, Mat2
 from h4approx.h4_expansion import (
     CapExceeded,
     Expansion,
@@ -693,3 +693,190 @@ class TestTailBoundsWidth:
         exp = Expansion(stream)
         for n in (0, 1, 2, 7, 30, 63, 64, 127, 200):
             assert exp.tail_bounds(n, tol_digits) == qrt2_width_tail_bounds(exp, n, tol_digits)
+
+
+def _step_chain(alpha: Surd, n_max: int):
+    """The exact route: digits and states from _surd_step alone, starting at
+    G_0 = I, until n_max digits or the boundary; the boundary and the
+    length where it was reached are None when there was none."""
+    exp = Expansion(alpha)
+    digits, states = [], [IDENTITY]
+    try:
+        while len(digits) < n_max:
+            d, g = exp._surd_step(states[-1])
+            digits.append(d)
+            states.append(g)
+    except Terminated as exc:
+        return digits, states, exc.boundary, len(digits)
+    return digits, states, None, None
+
+
+def _block_chain(alpha: Surd, n_max: int):
+    """The same four things from Expansion.word, the block engine."""
+    exp = Expansion(alpha)
+    try:
+        exp.word(n_max)
+    except Terminated as exc:
+        return exp._digits, exp._states, exc.boundary, exc.length
+    return exp._digits, exp._states, None, None
+
+
+COEFF = st.integers(-10**6, 10**6)
+
+
+@st.composite
+def big_surds(draw) -> Surd:
+    """Positive surds with every coefficient up to 10^6 in absolute value,
+    half of them translated by a multiple of √2 into [0, √2), which drops
+    a leading run of 3s."""
+    da = draw(st.integers(1, 10**6))
+    D = ZRt2(da, draw(st.integers(-(da * 7) // 10, 10**6)))  # da + db√2 > 0
+    P, Q = ZRt2(draw(COEFF), draw(COEFF)), ZRt2(draw(COEFF), draw(COEFF))
+    alpha = Surd(P, Q, D, ZRt2(draw(st.integers(1, 10**6)), draw(COEFF)))
+    assume(not alpha.is_zero())
+    alpha = abs(alpha)
+    if draw(st.booleans()):
+        alpha = normalize_alpha(alpha).value
+        assume(not alpha.is_zero())
+    return alpha
+
+
+class TestBlockDigits:
+    """The surd backend reads digits off a 2^−128 box around the tail and
+    asks the exact _surd_step only when a fresh box holds a boundary; the
+    _surd_step chain alone is the route it must agree with."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_surds(), st.integers(1, 2000))
+    def test_random_surds_agree_with_the_step_chain(self, alpha, n):
+        assert _block_chain(alpha, n) == _step_chain(alpha, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 60), st.integers(1, 2000))
+    def test_q_sqrt2_agrees_with_the_step_chain(self, a, b, c, n):
+        alpha = abs(Surd.from_ratio(ZRt2(a, b), ZRt2(c, 0)))
+        assume(not alpha.is_zero())
+        assert _block_chain(alpha, n) == _step_chain(alpha, n)
+
+    def test_sqrt2_rationals_end_like_the_step_chain(self):
+        seen = set()
+        for a in range(1, 10):
+            for b in range(1, 10):
+                for alpha in (
+                    Surd.from_ratio(ZRt2(0, a), ZRt2(b, 0)),  # a√2/b
+                    Surd.from_ratio(ZRt2(a, 0), ZRt2(0, b)),  # a/(b√2)
+                ):
+                    expected = _step_chain(alpha, 2000)
+                    assert expected[2] is not None
+                    assert _block_chain(alpha, 2000) == expected
+                    seen.add(expected[2])
+        assert seen == {"inv_sqrt2", "sqrt2"}
+
+    @pytest.mark.parametrize("k", [128, 8])
+    def test_box_holds_the_tail(self, monkeypatch, k):
+        from h4approx.cli import make_corpus
+
+        monkeypatch.setattr(h4_expansion, "_SCALE", h4_expansion._box_scale(k))
+        one = ZRt2(1 << k, 0)
+        checked = 0
+        for alpha in (*make_corpus(1, 5, 5), SURD17, Surd.of(1), Surd.from_ratio(ZRt2(1, 1), ZRt2(3, 0))):
+            exp = Expansion(alpha)
+            for n in range(0, 400, 3):
+                exp.word(n)
+                if exp._box is None:
+                    continue
+                lo, hi = exp._box
+                tail = exp.tail(n)
+                assert tail.linear_sign(one, ZRt2(lo, 0)) >= 0 and tail.linear_sign(one, ZRt2(hi, 0)) <= 0
+                checked += 1
+        assert checked > 800
+
+    def test_coarse_boxes_fall_back_and_agree(self, monkeypatch):
+        from h4approx.cli import make_corpus
+
+        fallbacks = 0
+        real_step = Expansion._surd_step
+
+        def counted_step(self, g):
+            nonlocal fallbacks
+            fallbacks += 1
+            return real_step(self, g)
+
+        inputs = (*make_corpus(1, 20, 5), Surd.from_ratio(ZRt2(0, 5), ZRt2(7, 0)))
+        expected = [_step_chain(alpha, 300) for alpha in inputs]
+        monkeypatch.setattr(h4_expansion, "_SCALE", h4_expansion._box_scale(4))
+        monkeypatch.setattr(Expansion, "_surd_step", counted_step)
+        assert [_block_chain(alpha, 300) for alpha in inputs] == expected
+        assert fallbacks > 20
+
+    def test_deep_word_is_block_digits(self, monkeypatch):
+        """corpus[3] × 14,000 digits: few refreshes, no exact fallback, no
+        G_n-sized predicate and no Fraction enclosure."""
+        from h4approx.cli import make_corpus
+
+        calls = {"refresh": 0, "fallback": 0, "linear_sign_ints": 0, "enclosure": 0}
+
+        def counting(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(Expansion, "_refresh", "refresh")
+        counting(Expansion, "_surd_step", "fallback")
+        counting(Surd, "linear_sign_ints", "linear_sign_ints")
+        counting(Surd, "enclosure", "enclosure")
+        exp = Expansion(make_corpus(1, 5, 5)[3])
+        exp.word(14_000)
+        assert 0 < calls["refresh"] <= 100
+        assert calls["fallback"] == calls["linear_sign_ints"] == calls["enclosure"] == 0
+
+
+class TestCachedReads:
+    def test_second_walk_does_not_extend(self, monkeypatch):
+        from h4approx.best_approx import best_approximations
+        from h4approx.cli import make_corpus
+
+        exp = Expansion(make_corpus(1, 5, 5)[3])
+        first = best_approximations(exp, max_count=1000)
+        entries = []
+        real_extend = Expansion._extend
+
+        def counted(self, n):
+            entries.append(n)
+            real_extend(self, n)
+
+        monkeypatch.setattr(Expansion, "_extend", counted)
+        assert best_approximations(exp, max_count=1000) == first
+        assert entries == []
+
+    def test_an_override_sees_every_uncached_request(self):
+        from tests.test_rosen_cf import DigitBudget
+
+        class Recording(Expansion):
+            def __init__(self, source):
+                super().__init__(source)
+                self.requests: list[int] = []
+
+            def _extend(self, n: int) -> None:
+                self.requests.append(n)
+                super()._extend(n)
+
+        exp = Recording(SURD17)
+        exp.digit(3)
+        exp.state(2)
+        exp.state(5)
+        exp.star_cmp_one(4)
+        exp.star_cmp_one(7)
+        exp.digit(7)
+        exp.tail_cmp_one(7)
+        exp.leading_threes()
+        assert exp.requests == [3, 5, 7, 8]
+        budget = DigitBudget(SURD17, 5)
+        assert budget.word(5) == (3, 2, 3, 1, 2)
+        for read in (budget.digit, budget.state, budget.star_cmp_one):
+            with pytest.raises(AssertionError, match="past the budget"):
+                read(6)

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +42,26 @@ class DigitBudget(Expansion):
         if n > self.limit:
             raise AssertionError(f"digit {n} requested past the budget {self.limit}")
         super()._extend(n)
+
+
+# Both convergent functions over a tampered regrouping, run by a `python -O` child.
+TAMPERED_CHILD = """
+import dataclasses, json, sys
+from h4approx import rosen_cf
+from tests.test_rosen_cf import SURD17
+caught = []
+for regroup, convergents in (("rosen_from_h4", "rosen_convergents"), ("dual_from_h4", "dual_rosen_convergents")):
+    def tampered(source, n_terms, honest=getattr(rosen_cf, regroup)):
+        cf = honest(source, n_terms)
+        last = cf.terms[-1]
+        return dataclasses.replace(cf, terms=(*cf.terms[:-1], rosen_cf.RosenDigit(last.eps, last.a + 1)))
+    setattr(rosen_cf, regroup, tampered)
+    try:
+        getattr(rosen_cf, convergents)(SURD17, 6)
+    except AssertionError as exc:
+        caught.append(str(exc))
+print(json.dumps({"optimize": sys.flags.optimize, "caught": caught}))
+"""
 
 
 def random_periodic_surd(word: list[int]) -> Surd | None:
@@ -289,6 +314,21 @@ class TestPipelineAgreement:
         monkeypatch.setattr(rosen_cf, regroup, tampered)
         with pytest.raises(AssertionError, match="disagree"):
             convergent_fn(SURD17, 6)
+
+    def test_convergents_check_the_regrouping_under_python_O(self):
+        # The same tampering in a `python -O` child, where asserts vanish:
+        # the cross-check must still raise.
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), str(root), *filter(None, [os.environ.get("PYTHONPATH")])]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", TAMPERED_CHILD],
+            cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        result = json.loads(proc.stdout)
+        assert result["optimize"] == 1
+        assert result["caught"] == ["Gauss map and word regrouping disagree"] * 2
 
     def test_digit_map_equivalence_on_corpus(self):
         # Gauss-map iteration and word regrouping must agree for 50 digits

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import sub
 
 from .exact_field import ONE, SQRT2, ZERO, Surd, ZRt2, zrt2_sign
 from .hecke_group import (
     H4Fraction,
+    IntMat,
     canonicalize,
     canonicalize_pair,
+    column,
     column_fraction,
     coprime_neighbours,
     denominator_ladder,
@@ -97,9 +100,14 @@ def best_approximations(
     that range, where it is a column of G_n: M_n·∞ is that column iff σ_n
     matches the side, N_n·∞ iff σ̃_n does, and common_witness asks for both
     at one n.  The walk reads the integer state of G_n: a column's
-    canonical fraction is its structure, and denominators are compared by
-    their squares, which are integers.  The walk raises CapExceeded past
-    `cap` indices, and so does a leading run of more than `cap` 3s.
+    canonical fraction is its structure, built only for the records, and
+    denominators are compared by their squares, which are integers.  Inside
+    a run of 1s or 3s nothing the walk reads changes, so it reads the first
+    index there and jumps to the run's last one.  The check that errors
+    decrease reads sign(α·c − d) off the Expansion's integer bounds on α
+    (Expansion.alpha_sign).  The walk raises CapExceeded past `cap`
+    indices, and so does a leading run of more than `cap` 3s; it reads no
+    digit past cap + 1.
     """
     if max_q is None and max_count is None:
         raise ValueError("need a denominator bound or a count")
@@ -116,11 +124,12 @@ def best_approximations(
 
     m = exp.leading_threes()
 
-    emissions: list[tuple[str, int, int, int, H4Fraction, bool, bool, bool]] = []
+    emissions: list[tuple[str, int, int, int, IntMat, bool, bool, bool]] = []
     # Per side: the open range's first index and, so far on it, whether
     # M_n·∞, N_n·∞, or both at one n, were its column.
     ranges = {"tu": (m + 1, False, False, False), "vw": (m + 1, False, False, False)}
-    for n in range(m + 1, cap + 1):
+    n = m + 1
+    while n <= cap:
         g = exp.state(n)
         sigma, dual_sigma = rosen_flip(exp, n), dual_flip(exp, n)
         d_next = exp.digit(n + 1)
@@ -134,9 +143,7 @@ def best_approximations(
             # At the last index, the tail or the reversal qualifies iff
             # M_n·∞ or N_n·∞ is this column.
             if rosen_n or dual_n:
-                emissions.append(
-                    (side, start, n, denominator_sq(g, side), column_fraction(g, side), *ranges[side][1:])
-                )
+                emissions.append((side, start, n, denominator_sq(g, side), g, *ranges[side][1:]))
             ranges[side] = (n + 1, False, False, False)
         # The smaller denominator: w_n < u_n iff σ_n.
         low_sq = denominator_sq(g, "vw" if sigma else "tu")
@@ -147,6 +154,18 @@ def best_approximations(
             kth_sq = sorted(e[3] for e in emissions)[max_count - 1]
             if low_sq > kth_sq:
                 break
+        if d_next == 2 or exp.digit(n) != d_next:
+            n += 1
+            continue
+        # n lies inside a run of 1s or 3s, and so does every later index
+        # before the run's last one, j: σ and σ̃ keep the run's values, the
+        # staying side's flags are true, the other side closes with no
+        # emission, and the smaller denominator is the column the run's
+        # digit fixes, so the stop test cannot fire before j.  Those
+        # indices only move the closing side's start.  No digit past
+        # cap + 1 is read, and a run through it leaves j past the cap.
+        n = exp.run_end(n + 1, cap + 1)
+        ranges["vw" if d_next == 3 else "tu"] = (n, False, False, False)
     else:
         raise CapExceeded(f"enumeration did not finish within {cap} steps")
 
@@ -157,28 +176,28 @@ def best_approximations(
     emissions.sort(key=lambda e: e[3])
     out: list[BestApprox] = []
     prev_q_sq: int | None = None
-    prev: tuple[ZRt2, ZRt2] | None = None  # the previous record's (sq, sp)
+    prev: tuple[int, int, int, int] | None = None  # the previous record's s·q and s·p as ints
     alpha = exp.alpha
-    for side, n1, n2, q_sq, frac, is_rosen, is_dual, both in emissions:
+    for side, n1, n2, q_sq, g, is_rosen, is_dual, both in emissions:
         if stop is not None and past_stop(q_sq):
-            continue
+            break
         assert prev_q_sq is None or prev_q_sq < q_sq, "denominators must increase"
-        err = None
+        prev_q_sq = q_sq
         if alpha is not None:
             # G_n ≥ 0 with det 1 puts v/w < α < t/u, so q·α − p is
             # negative on t/u and positive on v/w.
-            sq, sp = (-frac.q, -frac.p) if side == "tu" else (frac.q, frac.p)
+            qa, qb, pa, pb = column(g, side)
+            cur = (-qa, -qb, -pa, -pb) if side == "tu" else (qa, qb, pa, pb)
             # The error drops iff α·(sq − sq′) − (sp − sp′) < 0.
-            assert prev is None or alpha.linear_sign(sq - prev[0], sp - prev[1]) < 0, "errors must decrease"
-            prev = (sq, sp)
-            # |q·α − p| = α·sq − sp, built once as (P·sq − sp·S + Q·sq·√D)/S.
-            err = Surd(alpha.P * sq - sp * alpha.S, alpha.Q * sq, alpha.D, alpha.S)
-        prev_q_sq = q_sq
+            assert prev is None or exp.alpha_sign(*map(sub, cur, prev)) < 0, "errors must decrease"
+            prev = cur
+        if max_count is not None and len(out) == max_count:
+            continue  # checked, but not a record
+        frac = column_fraction(g, side)
+        err = None if alpha is None else alpha.linear_ints(*cur)  # |q·α − p| = α·sq − sp
         is_dual = frac == dual0 or (is_dual and frac != rosen0)
         common = is_rosen and is_dual and both
         out.append(BestApprox(frac, side, n1, n2, is_rosen, is_dual, common, err))
-    if max_count is not None:
-        out = out[:max_count]
     return out
 
 

@@ -523,6 +523,18 @@ class Surd:
             Q.sign(),
         )
 
+    def linear_ints(self, ca: int, cb: int, da: int, db: int) -> Surd:
+        """self·c − d for c = ca + cb√2 and d = da + db√2 given as plain
+        ints, built once as (X + Y√D)/S from the X = Pc − dS and Y = Qc of
+        linear_sign_ints, with no Z[√2] product on the way."""
+        P, Q, s = self.P, self.Q, self.S.a
+        return Surd(
+            ZRt2(P.a * ca + 2 * P.b * cb - da * s, P.a * cb + P.b * ca - db * s),
+            ZRt2(Q.a * ca + 2 * Q.b * cb, Q.a * cb + Q.b * ca),
+            self.D,
+            self.S,
+        )
+
     def is_zero(self) -> bool:
         return self.sign() == 0
 

@@ -204,7 +204,7 @@ def _box_scale(k: int) -> tuple[int, int, int, int, int]:
 
 
 _SCALE = _box_scale(128)  # the tail box α_n ∈ [L, H]·2^−K of the surd backend, K = 128
-_GUARD = 64  # bits of α's enclosure beyond 2·bits(G_n) + K at a refresh
+_GUARD = 64  # bits of α's bounds beyond 2·bits(G_n) + K at a refresh, and 2·bits(c, d) in alpha_sign
 
 
 def _box_digit(box: tuple[int, int] | None) -> int:
@@ -289,8 +289,11 @@ class Expansion:
     α.linear_sign_ints(c, d) with c, d the integer halves of a column of
     G_n·A_d.  The digit word decides where α_n and α*_n lie against 1: A1
     maps (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is
-    increasing.  matrix(n) builds G_n over Z[√2] for the callers that need
-    one.  Emitted values are immutable and safe to share.
+    increasing.  Before a digit 2, the box that read it gives sign(α_n − 1)
+    when it lies on one side of 1, and alpha_sign, on the bounds on α,
+    gives it otherwise; either answer is kept.  run_end finds where a run
+    of equal digits ends.  matrix(n) builds G_n over Z[√2] for the callers
+    that need one.  Emitted values are immutable and safe to share.
     """
 
     def __init__(self, source: Source, cap: int = DEFAULT_CAP):
@@ -301,6 +304,7 @@ class Expansion:
         self._boundary: str | None = None
         self._box: tuple[int, int] | None = None  # α_n ∈ [L, H]·2^−K at n = len(_digits)
         self._fixed: tuple[int, ...] | None = None  # _fixed_bounds of α, at the largest b used
+        self._tail_signs: dict[int, int] = {}  # sign(α_n − 1) at surd indices n before a digit 2
         if isinstance(source, Surd):
             if source.sign() <= 0:
                 raise ValueError("expansion requires a positive value")
@@ -341,15 +345,22 @@ class Expansion:
         is rebuilt from G once; when the fresh box holds a boundary too, the
         exact _surd_step decides, and the box is rebuilt at the next digit.
         A √2·Q value puts its boundary in every box, so it ends in
-        _surd_step's Terminated at the same call as the exact chain."""
-        d = _box_digit(self._box)
+        _surd_step's Terminated at the same call as the exact chain.  A box
+        in the cylinder of 2 that lies on one side of 1 also gives
+        sign(α_n − 1), which tail_cmp_one would otherwise ask of α."""
+        box = self._box
+        d = _box_digit(box)
         if not d:
-            self._box = self._refresh(g)
-            d = _box_digit(self._box)
+            box = self._box = self._refresh(g)
+            d = _box_digit(box)
             if not d:
                 self._box = None
                 return self._surd_step(g)
-        self._box = _box_step(self._box, d)
+        if d == 2:
+            one = _SCALE[1]
+            if box[0] > one or box[1] < one:
+                self._tail_signs[len(self._digits)] = 1 if box[0] > one else -1
+        self._box = _box_step(box, d)
         return d, times_digit(g, d)
 
     def _refresh(self, g: IntMat) -> tuple[int, int] | None:
@@ -359,7 +370,7 @@ class Expansion:
         √2, so N and M are enclosed by integer combinations of the bounds
         on α, α√2 and √2 at 2^−b.  det G = 1 makes N and M about 1/|G|, so
         b ≥ 2·bits(G) + K + _GUARD leaves K bits and more in N/M; b only
-        doubles, and the bounds are kept for the next refresh."""
+        doubles, and the bounds are kept for the next refresh and alpha_sign."""
         T, V, U, W, par = g
         k = _SCALE[0]
         need = 2 * max(T.bit_length(), V.bit_length(), U.bit_length(), W.bit_length()) + k + _GUARD
@@ -404,10 +415,54 @@ class Expansion:
             return 2, times_digit(g, 2)
         return 3, g3
 
+    def alpha_sign(self, ca: int, cb: int, da: int, db: int) -> int:
+        """Sign of α·c − d on a surd backend, for c = ca + cb√2 and
+        d = da + db√2 as plain ints, read off the integer bounds on α, α√2
+        and √2 at 2^−b kept for rebuilding the tail box:
+        (α·c − d)·2^b lies in ca·[A, A′] + cb·[C, C′] − da·2^b − db·[R₂, R₂ + 1].
+        Where c and d are small beside 2^b, the bounds are first cut to
+        b = 2·bits + _GUARD, the width that separates α·c from d at the
+        margins the walk meets.  The exact predicate decides only where the
+        bounds straddle 0."""
+        alpha = self.alpha
+        assert alpha is not None
+        fixed = self._fixed
+        if fixed is not None:
+            b, a_lo, a_hi, c_lo, c_hi, r2 = fixed
+            cut = b - 2 * max(abs(ca), abs(cb), abs(da), abs(db)).bit_length() - _GUARD
+            if cut > 0:  # floors stay lower bounds, ceilings upper ones
+                b -= cut
+                a_lo, a_hi, r2 = a_lo >> cut, -(-a_hi >> cut), r2 >> cut
+                c_lo, c_hi = c_lo >> cut, -(-c_hi >> cut)
+            lo = (ca * a_lo if ca >= 0 else ca * a_hi) + (cb * c_lo if cb >= 0 else cb * c_hi)
+            hi = (ca * a_hi if ca >= 0 else ca * a_lo) + (cb * c_hi if cb >= 0 else cb * c_lo)
+            base = da << b
+            lo -= base + (db * (r2 + 1) if db >= 0 else db * r2)
+            hi -= base + (db * r2 if db >= 0 else db * (r2 + 1))
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+        return alpha.linear_sign(ZRt2(ca, cb), ZRt2(da, db))
+
     def digit(self, n: int) -> int:
         if n > len(self._digits):
             self._extend(n)
         return self._digits[n - 1]
+
+    def run_end(self, n: int, last: int) -> int:
+        """The last index of the run of equal digits through d_n: the least
+        j ≥ n with d_{j+1} ≠ d_n, or `last` when the run holds every digit
+        up to `last`.  No digit past `last` is read."""
+        digits = self._digits
+        d = self.digit(n)
+        while n < last:
+            if n == len(digits):
+                self._extend(n + 1)
+            if digits[n] != d:
+                break
+            n += 1
+        return n
 
     def word(self, n: int) -> tuple[int, ...]:
         self._extend(n)
@@ -435,15 +490,20 @@ class Expansion:
         (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is increasing, so the
         next digit other than 2 decides; where a √2·Q value ends with only 2s
         after n, its boundary does (1/√2 is below 1, √2 above).  Only after a
-        2 is the backend asked: α(u + w) against t + v on a surd, the next
-        digit other than 2 on a stream."""
+        2 is the backend asked.  On a surd, the tail box that read the 2
+        answers when it lies on one side of 1, else alpha_sign of α(u + w)
+        against t + v does, and the answer is kept.  On a stream, the next
+        digit other than 2 answers."""
         g = self.state(n)
         try:
             d = self.digit(n + 1)
             if d != 2:
                 return _OUTER_SIGN[d]
-            if self.alpha is not None:  # the columns t/u and v/w added
-                return self.alpha.linear_sign_ints(*map(add, column(g, "tu"), column(g, "vw")))
+            if self.alpha is not None:
+                sign = self._tail_signs.get(n)
+                if sign is None:  # the columns t/u and v/w added
+                    sign = self._tail_signs[n] = self.alpha_sign(*map(add, column(g, "tu"), column(g, "vw")))
+                return sign
             assert self.stream is not None
             k = self.stream.next_non_two(n, self.cap)
         except Terminated as exc:  # G_n exists, so the value ends after n

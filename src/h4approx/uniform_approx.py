@@ -135,7 +135,7 @@ def uniform_sequence(
                 alpha.linear_sign_ints(2 * m.a, 2 * m.b, 2 * e.a + s, 2 * e.b) == s
                 and alpha.linear_sign_ints(2 * m.a, 2 * m.b, 2 * e.a + s, 2 * e.b + s) == -s
             ), "record out of range"
-            value = Surd(alpha.P * c - d * alpha.S, alpha.Q * c, alpha.D, alpha.S)
+            value = alpha.linear_ints(c.a, c.b, d.a, d.b)
             out.append(UniformRecord(i, case, n, value))
         else:
             g = exp.matrix(n)

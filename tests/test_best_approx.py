@@ -7,18 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h4approx.exact_field import ONE, SQRT2, Surd, ZRt2
-from h4approx.hecke_group import DIGIT_MATRICES, IntMat, Mat2, canonicalize, canonicalize_pair
-from h4approx.h4_expansion import Expansion
+from h4approx.exact_field import ONE, SQRT2, Surd, ZRt2, zrt2_sign
+from h4approx.hecke_group import (
+    DIGIT_MATRICES, IntMat, Mat2, canonicalize, canonicalize_pair, column_fraction, denominator_sq,
+)
+from h4approx.h4_expansion import DEFAULT_CAP, CapExceeded, Expansion
 from h4approx.best_approx import (
     BEST_BY_SUFFICIENT,
     BEST_NOT_SUFFICIENT,
     NOT_BEST,
+    BestApprox,
+    _dual_a0,
+    _rosen_a0,
     best_approximations,
     legendre_classify,
     oracle_best_approximations,
     successor_case,
 )
+from h4approx.rosen_cf import dual_flip, rosen_flip
 from tests.test_rosen_cf import random_periodic_surd
 
 SURD17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))
@@ -26,6 +32,91 @@ SURD17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))
 
 def frac(m: int, n: int):
     return canonicalize(m, n)
+
+
+def reference_best_approximations(source, *, max_q=None, max_count=None, cap=DEFAULT_CAP) -> list:
+    """The per-index walk, the reference route for best_approximations:
+    every index n > m(α) up to the stop is read in full, each emission is
+    built as a fraction at once, and the errors are compared with
+    Surd.linear_sign.  best_approximations reads the inside of a run of 1s
+    or 3s once and must give the same list, and the same CapExceeded."""
+    exp = source if isinstance(source, Expansion) else Expansion(source, cap)
+    stop = None
+    if max_q is not None:
+        bound = ZRt2.of(max_q)
+        stop = (bound * bound).pair() if bound.sign() > 0 else (0, 0)
+
+    def past_stop(q_sq: int) -> bool:
+        return zrt2_sign(q_sq - stop[0], -stop[1]) > 0
+
+    m = exp.leading_threes()
+    emissions = []
+    ranges = {"tu": (m + 1, False, False, False), "vw": (m + 1, False, False, False)}
+    for n in range(m + 1, cap + 1):
+        g = exp.state(n)
+        sigma, dual_sigma = rosen_flip(exp, n), dual_flip(exp, n)
+        d_next = exp.digit(n + 1)
+        for side, flipped, stay in (("tu", False, 3), ("vw", True, 1)):
+            start, rosen, dual, both = ranges[side]
+            rosen_n, dual_n = sigma == flipped, dual_sigma == flipped
+            ranges[side] = (start, rosen or rosen_n, dual or dual_n, both or (rosen_n and dual_n))
+            if d_next == stay:
+                continue
+            if rosen_n or dual_n:
+                emissions.append(
+                    (side, start, n, denominator_sq(g, side), column_fraction(g, side), *ranges[side][1:])
+                )
+            ranges[side] = (n + 1, False, False, False)
+        low_sq = denominator_sq(g, "vw" if sigma else "tu")
+        if stop is not None:
+            if past_stop(low_sq):
+                break
+        elif len(emissions) >= max_count:
+            if low_sq > sorted(e[3] for e in emissions)[max_count - 1]:
+                break
+    else:
+        raise CapExceeded(f"enumeration did not finish within {cap} steps")
+
+    rosen0, dual0 = canonicalize(_rosen_a0(exp), 1), canonicalize(_dual_a0(exp), 1)
+    emissions.sort(key=lambda e: e[3])
+    out = []
+    prev = None
+    alpha = exp.alpha
+    for side, n1, n2, q_sq, f, is_rosen, is_dual, both in emissions:
+        if stop is not None and past_stop(q_sq):
+            continue
+        err = None
+        if alpha is not None:
+            sq, sp = (-f.q, -f.p) if side == "tu" else (f.q, f.p)
+            assert prev is None or alpha.linear_sign(sq - prev[0], sp - prev[1]) < 0, "errors must decrease"
+            prev = (sq, sp)
+            err = Surd(alpha.P * sq - sp * alpha.S, alpha.Q * sq, alpha.D, alpha.S)
+        is_dual = f == dual0 or (is_dual and f != rosen0)
+        out.append(BestApprox(f, side, n1, n2, is_rosen, is_dual, is_rosen and is_dual and both, err))
+    return out if max_count is None else out[:max_count]
+
+
+def walk_outcome(walk, source, **kwargs):
+    """The list a walk returns, or the CapExceeded it raises, as comparable data."""
+    try:
+        return walk(source, **kwargs)
+    except CapExceeded as exc:
+        return ("CapExceeded", str(exc))
+
+
+def long_runs(source, depth: int, length: int) -> list[tuple[int, int]]:
+    """(s, e) for runs d_{s+1} = … = d_e of 1s or 3s, at least `length`
+    long, that start after the leading 3s and end by digit `depth`."""
+    exp = Expansion(source)
+    word = exp.word(depth)
+    m = exp.leading_threes()
+    out, s = [], m
+    for n in range(m + 1, depth + 1):
+        if n == depth or word[n] != word[s]:
+            if word[s] != 2 and n - s >= length:
+                out.append((s, n))
+            s = n
+    return out
 
 
 class TestSurd17Example:
@@ -339,13 +430,127 @@ class TestStreamBackend:
             assert a.q.cmp(b.q) < 0
 
 
+def run_jump_sources() -> list:
+    from h4approx.cli import make_corpus
+    from h4approx.h4_expansion import PeriodicStream, STREAM_RULES
+
+    corpus = [alpha for bound in (5, 9, 20) for alpha in make_corpus(1, 8, bound)]
+    return [*corpus, *(rule() for rule in STREAM_RULES.values()), PeriodicStream((3, 1), (2,))]
+
+
+class TestRunJumps:
+    """best_approximations reads an index inside a run of 1s or 3s once and
+    jumps to the run's last index; the per-index walk is its reference."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_count": 40}, {"max_q": 10**6}, {"max_count": 12, "max_q": 10**4}, {"max_count": 30, "cap": 90}],
+    )
+    def test_same_outputs_as_the_per_index_walk(self, kwargs):
+        for source in run_jump_sources():
+            want = walk_outcome(reference_best_approximations, source, **kwargs)
+            assert walk_outcome(best_approximations, source, **kwargs) == want, source
+
+    def test_caps_inside_long_runs(self):
+        """Caps at the first, second, middle, second-to-last and last index
+        of a run, with the walk stopped by the count or by the cap."""
+        checked = 0
+        for source in run_jump_sources():
+            for s, e in long_runs(source, 400, 6)[:3]:
+                for cap in (s, s + 1, (s + e) // 2, e - 1, e):
+                    for kwargs in ({"max_count": 10**6}, {"max_count": 8}, {"max_q": 10**8}):
+                        want = walk_outcome(reference_best_approximations, source, cap=cap, **kwargs)
+                        assert walk_outcome(best_approximations, source, cap=cap, **kwargs) == want
+                        checked += isinstance(want, tuple)
+        assert checked > 100
+
+    def test_reads_no_digit_past_cap_plus_one(self):
+        """A run that crosses the cap raises CapExceeded, as the per-index
+        walk does there, without reading a digit past cap + 1."""
+        from h4approx.cli import make_corpus
+        from h4approx.h4_expansion import four_blocks_stream
+        from tests.test_rosen_cf import DigitBudget
+
+        cases = [(four_blocks_stream(), 100)]  # digits 64 to 127 are 3s
+        for alpha in make_corpus(1, 20, 5):
+            cases += [(alpha, (s + e) // 2) for s, e in long_runs(alpha, 600, 20)[:1]]
+        assert len(cases) > 5
+        for source, cap in cases:
+            word = Expansion(source).word(cap + 1)
+            assert word[cap - 1] == word[cap] != 2
+            for kwargs in ({"max_count": 10**6}, {"max_q": 10**300}):
+                with pytest.raises(CapExceeded, match=f"within {cap} steps"):
+                    best_approximations(DigitBudget(source, cap + 1), cap=cap, **kwargs)
+
+
+class TestBoundedSigns:
+    """Expansion.alpha_sign reads sign(α·c − d) off the integer bounds on
+    α, α√2 and √2 kept for the tail box; the exact predicate decides only
+    where those bounds straddle 0."""
+
+    @staticmethod
+    def spy_exact(monkeypatch) -> list:
+        calls = []
+        linear_sign_ints = Surd.linear_sign_ints
+
+        def counting(self, ca, cb, da, db):
+            calls.append((ca, cb, da, db))
+            return linear_sign_ints(self, ca, cb, da, db)
+
+        monkeypatch.setattr(Surd, "linear_sign_ints", counting)
+        return calls
+
+    @pytest.mark.parametrize("bits", [2, 3, 4])
+    def test_fallbacks_fire_and_agree_at_low_precision(self, monkeypatch, bits):
+        import random
+
+        from h4approx import h4_expansion
+        from h4approx.cli import make_corpus
+
+        rng = random.Random(bits)
+        alphas = [SURD17, *make_corpus(1, 12, 5)]
+        want = [reference_best_approximations(alpha, max_count=30) for alpha in alphas]
+        calls = self.spy_exact(monkeypatch)
+        for alpha, expected in zip(alphas, want):
+            exp = Expansion(alpha)
+            exp.word(3000)
+            exp._fixed = h4_expansion._fixed_bounds(alpha, bits)
+            exp._tail_signs.clear()
+            assert best_approximations(exp, max_count=30) == expected
+            for n in range(200):
+                assert exp.tail_cmp_one(n) == exp.tail(n).cmp(1)
+            for _ in range(50):
+                ca, cb, da, db = (rng.randint(-99, 99) for _ in range(4))
+                c, d = ZRt2(ca, cb), ZRt2(da, db)
+                assert exp.alpha_sign(c.a, c.b, d.a, d.b) == alpha.linear_sign(c, d)
+        assert len(calls) > 100, "no exact fallback fired"
+
+    def test_default_precision_decides_on_ints(self, monkeypatch):
+        """corpus[3] × 1,000 records from scratch: the digits, the tail
+        signs and the decreasing-error checks make at most a handful of
+        exact calls, and the answers match Surd.linear_sign."""
+        from h4approx.cli import make_corpus
+
+        alpha = make_corpus(1, 5, 5)[3]
+        want = reference_best_approximations(alpha, max_count=1000)
+        calls = self.spy_exact(monkeypatch)
+        exp = Expansion(alpha)
+        assert best_approximations(exp, max_count=1000) == want
+        assert len(calls) <= 5
+        signed = [(-b.q, -b.p) if b.side == "tu" else (b.q, b.p) for b in want]
+        for (sq0, sp0), (sq1, sp1) in zip(signed, signed[1:]):
+            c, d = sq1 - sq0, sp1 - sp0
+            assert exp.alpha_sign(c.a, c.b, d.a, d.b) == alpha.linear_sign(c, d) == -1
+
+
 class TestOnePredicatePerIndex:
     def test_tail_sign_asked_once_per_walk_step(self, monkeypatch):
-        """The walk reads sign(α_n − 1) once per index, for σ̃_n and both
-        emission tests.  A step is an index n > m(α) whose G_n the walk
-        reads, however the step is computed.  Only a next digit 2 costs the
-        sign an exact predicate, and the reversal's sign costs no Z[√2]
-        arithmetic at all."""
+        """The walk reads sign(α_n − 1) once per index it visits, for σ̃_n
+        and both emission tests, and visits at most two indices per run of
+        equal digits besides each index before a 2.  A step is an index
+        n > m(α) whose G_n the walk reads.  Only a next digit 2 whose tail
+        box held 1 can cost the sign an exact predicate, once, and the
+        reversal's sign costs no Z[√2] arithmetic at all."""
         import sys
 
         from h4approx.cli import make_corpus
@@ -375,19 +580,34 @@ class TestOnePredicatePerIndex:
                 predicates.append(1)
             return linear_sign_ints(self, ca, cb, da, db)
 
-        exp = Counting(make_corpus(1, 5, 5)[3])
+        alpha = make_corpus(1, 5, 5)[3]
+        exp = Counting(alpha)
         best = best_approximations(exp, max_count=1000)
-        steps = sum(1 for n in Counting.read if n > exp.leading_threes())
+        m = exp.leading_threes()
+        steps = sum(1 for n in Counting.read if n > m)
         assert len(best) == 1000
         assert len(Counting.asked) <= steps + len(best)
+        last = max(Counting.read)
+        walked = exp.word(last + 1)[m:]
+        runs = 1 + sum(1 for a, b in zip(walked, walked[1:]) if a != b)
+        assert steps <= 2 * runs + walked[1:].count(2)
 
-        # Walk again over the digits now cached, so that every predicate
-        # counted is a tail sign, not a new digit.
+        # Walk again over a fresh expansion of the same digits, whose boxes
+        # have given their signs but which has asked no tail sign yet, so
+        # that every predicate counted is a tail sign, not a new digit.
+        fresh = Counting(alpha)
+        fresh.word(len(exp.word(last + 1)))
+        box_open = {n for n in range(last + 1) if fresh.digit(n + 1) == 2} - set(fresh._tail_signs)
         Counting.asked.clear()
         monkeypatch.setattr(Surd, "linear_sign_ints", counting)
-        assert best_approximations(exp, max_count=1000) == best
-        before_two = sum(1 for n in Counting.asked if exp.digit(n + 1) == 2)
-        assert len(predicates) == before_two == 384
+        assert best_approximations(fresh, max_count=1000) == best
+        before_two = sum(1 for n in Counting.asked if fresh.digit(n + 1) == 2)
+        assert before_two == 384
+        assert len(predicates) <= len(box_open & set(Counting.asked))
+        asked = len(predicates)
+        for n in set(Counting.asked):  # a second ask is answered from the cache
+            fresh.tail_cmp_one(n)
+        assert len(predicates) == asked
 
         exact_field_calls = []
 

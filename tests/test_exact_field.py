@@ -236,6 +236,11 @@ class TestLinearSign:
     def test_matches_built_difference(self, alpha, c, d):
         assert alpha.linear_sign(c, d) == (alpha * c - d).sign()
 
+    @given(_surds(), _ZRT2, _ZRT2)
+    @settings(max_examples=300, deadline=None)
+    def test_linear_ints_is_the_built_difference(self, alpha, c, d):
+        assert alpha.linear_ints(c.a, c.b, d.a, d.b) == alpha * c - d
+
     @given(_ZRT2, _ZRT2.filter(lambda q: not q.is_zero()), _ZRT2)
     @settings(deadline=None)
     def test_exact_tie_on_degenerate_value(self, p, q, k):

@@ -273,6 +273,21 @@ def _fixed_bounds(alpha: Surd, b: int) -> tuple[int, int, int, int, int, int]:
     return (*out, r2)
 
 
+def _enclose(bounds: tuple[int, ...], ca: int, cb: int, da: int, db: int) -> tuple[int, int]:
+    """Integers lo ≤ (x·c − d)·2^b ≤ hi for c = ca + cb√2 and d = da + db√2
+    as plain ints, from bounds (b, X, X′, Y, Y′, R₂) with X ≤ x·2^b ≤ X′,
+    Y ≤ x√2·2^b ≤ Y′ and R₂ = ⌊√2·2^b⌋, as _fixed_bounds gives for α:
+    (x·c − d)·2^b lies in ca·[X, X′] + cb·[Y, Y′] − da·2^b − db·[R₂, R₂ + 1],
+    each product at the end that its coefficient's sign picks."""
+    b, x_lo, x_hi, y_lo, y_hi, r2 = bounds
+    lo = (ca * x_lo if ca >= 0 else ca * x_hi) + (cb * y_lo if cb >= 0 else cb * y_hi)
+    hi = (ca * x_hi if ca >= 0 else ca * x_lo) + (cb * y_hi if cb >= 0 else cb * y_lo)
+    base = da << b
+    lo -= base + (db * (r2 + 1) if db >= 0 else db * r2)
+    hi -= base + (db * r2 if db >= 0 else db * (r2 + 1))
+    return lo, hi
+
+
 class Expansion:
     """Lazy digit/convergent engine over either backend.
 
@@ -418,8 +433,7 @@ class Expansion:
     def alpha_sign(self, ca: int, cb: int, da: int, db: int) -> int:
         """Sign of α·c − d on a surd backend, for c = ca + cb√2 and
         d = da + db√2 as plain ints, read off the integer bounds on α, α√2
-        and √2 at 2^−b kept for rebuilding the tail box:
-        (α·c − d)·2^b lies in ca·[A, A′] + cb·[C, C′] − da·2^b − db·[R₂, R₂ + 1].
+        and √2 at 2^−b kept for rebuilding the tail box, by _enclose.
         Where c and d are small beside 2^b, the bounds are first cut to
         b = 2·bits + _GUARD, the width that separates α·c from d at the
         margins the walk meets.  The exact predicate decides only where the
@@ -431,14 +445,8 @@ class Expansion:
             b, a_lo, a_hi, c_lo, c_hi, r2 = fixed
             cut = b - 2 * max(abs(ca), abs(cb), abs(da), abs(db)).bit_length() - _GUARD
             if cut > 0:  # floors stay lower bounds, ceilings upper ones
-                b -= cut
-                a_lo, a_hi, r2 = a_lo >> cut, -(-a_hi >> cut), r2 >> cut
-                c_lo, c_hi = c_lo >> cut, -(-c_hi >> cut)
-            lo = (ca * a_lo if ca >= 0 else ca * a_hi) + (cb * c_lo if cb >= 0 else cb * c_hi)
-            hi = (ca * a_hi if ca >= 0 else ca * a_lo) + (cb * c_hi if cb >= 0 else cb * c_lo)
-            base = da << b
-            lo -= base + (db * (r2 + 1) if db >= 0 else db * r2)
-            hi -= base + (db * r2 if db >= 0 else db * (r2 + 1))
+                fixed = (b - cut, a_lo >> cut, -(-a_hi >> cut), c_lo >> cut, -(-c_hi >> cut), r2 >> cut)
+            lo, hi = _enclose(fixed, ca, cb, da, db)
             if lo > 0:
                 return 1
             if hi < 0:

@@ -5,7 +5,11 @@ purely combinatorial regrouping of a digit expansion into either kind.
 Two independent digit pipelines exist on purpose: exact Gauss-map iteration
 (surd inputs) and block regrouping of the expansion word (any input).  They
 must agree wherever both apply, and the convergent functions check that
-they do.
+they do.  The Gauss map runs on an integer state G_i with α = G_i·x_i and
+reads each decision off a box of the iterate x_i over cached integer
+bounds on α, as Lehmer reads quotients off leading words; an exact sign of
+α·c − d decides only where the box straddles.  It shares only α's bounds
+and the sign kernel with the regrouping.
 """
 
 from __future__ import annotations
@@ -14,9 +18,13 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterator
 
-from .exact_field import ONE, SQRT2, TWO, ZERO, Surd, ZRt2
-from .hecke_group import H4Fraction, IntMat, Mat2, as_mat2, canonicalize_pair
-from .h4_expansion import DEFAULT_CAP, CapExceeded, Expansion, Source
+from .exact_field import Surd, ZRt2, zrt2_sign
+from .hecke_group import IDENTITY, H4Fraction, IntMat, Mat2, as_mat2, canonicalize_pair, column
+from .h4_expansion import (
+    _GUARD, DEFAULT_CAP, CapExceeded, Expansion, Source, _box_scale, _enclose, _fixed_bounds,
+)
+
+_ITERATE_SCALE = _box_scale(64)  # the Gauss-map iterate is boxed at 2^−K, K = 64
 
 
 class DomainError(ValueError):
@@ -46,6 +54,12 @@ class ConvergentPair:
     frac: H4Fraction
 
 
+def _recur(t: RosenDigit, x: tuple[int, int], x_prev: tuple[int, int]) -> tuple[int, int]:
+    """a√2·x + ε·x_prev on (a, b) int pairs, as a√2·(p + q√2) = 2a·q + a·p·√2."""
+    p, q = x
+    return 2 * t.a * q + t.eps * x_prev[0], t.a * p + t.eps * x_prev[1]
+
+
 @dataclass(frozen=True)
 class CFExpansion:
     """⟦a0; ε_1/a_1, ε_2/a_2, ...⟧ truncated to finitely many terms."""
@@ -67,18 +81,24 @@ class CFExpansion:
                     raise ValueError(f"dual uniqueness violated at term {i + 1}")
 
     def convergents(self) -> list[ConvergentPair]:
-        """r_i/s_i by the standard recurrence; denominators must increase."""
-        out: list[ConvergentPair] = []
-        r_prev, s_prev = ONE, ZERO
-        r, s = ZRt2(0, self.a0), ONE
-        out.append(ConvergentPair(r, s, 0, self.kind, canonicalize_pair(r, s)))
+        """r_i/s_i by the recurrence r_i = a_i√2·r_{i−1} + ε_i·r_{i−2} (the
+        same for s) on (a, b) int pairs for a + b√2; denominators must
+        increase.  ZRt2 values and fractions are built only for the pairs
+        returned."""
+
+        def pair(i: int, r: tuple[int, int], s: tuple[int, int]) -> ConvergentPair:
+            rz, sz = ZRt2(*r), ZRt2(*s)
+            return ConvergentPair(rz, sz, i, self.kind, canonicalize_pair(rz, sz))
+
+        r, r_prev = (0, self.a0), (1, 0)  # r_0 = a0√2, r_{−1} = 1
+        s, s_prev = (1, 0), (0, 0)  # s_0 = 1, s_{−1} = 0
+        out = [pair(0, r, s)]
         for i, t in enumerate(self.terms, start=1):
-            coeff = ZRt2(0, t.a)
-            r, r_prev = coeff * r + t.eps * r_prev, r
-            s, s_prev = coeff * s + t.eps * s_prev, s
-            if s.cmp(s_prev) <= 0:
+            r, r_prev = _recur(t, r, r_prev), r
+            s, s_prev = _recur(t, s, s_prev), s
+            if zrt2_sign(s[0] - s_prev[0], s[1] - s_prev[1]) <= 0:
                 raise AssertionError(f"denominators not increasing at i={i}")
-            out.append(ConvergentPair(r, s, i, self.kind, canonicalize_pair(r, s)))
+            out.append(pair(i, r, s))
         return out
 
     def value(self) -> Surd:
@@ -87,54 +107,138 @@ class CFExpansion:
         return Surd.from_ratio(last.r, last.s)
 
 
-def _rosen_window(x: Surd) -> int:
-    # a√2 − 1/√2 < x < a√2 + 1/√2  ⟺  a = ⌊(√2·x + 1)/2⌋
-    return x.floor_linear(SQRT2, -ONE, TWO)
+def _step(g: IntMat, a: int, eps: int) -> IntMat:
+    """−ε·G·[[a√2, ε], [1, 0]] on the integer state of G, of parity form
+    like the Expansion's chains but with signed entries.  G and −G are the
+    same Möbius map, and the factor −ε keeps M = t − uα positive: the step
+    sends M to M·|x − a√2|."""
+    T, V, U, W, par = g
+    if par:
+        return (-eps * (2 * a * T + V), -T, -eps * (a * U + W), -U, 0)
+    return (-eps * (a * T + V), -T, -eps * (2 * a * U + W), -U, 1)
 
 
-def _dual_window(x: Surd) -> int:
-    # (a−1)√2 + 1 ≤ x < a√2 + 1  ⟺  a = ⌊(x − 1)/√2⌋ + 1
-    return x.floor_linear(ONE, ONE, SQRT2) + 1
+def _quotient(n: tuple[int, int], m_lo: int, m_hi: int, k: int) -> tuple[int, int]:
+    """Bounds on (N/M)·2^k from N·2^b in [n_lo, n_hi] and M·2^b in
+    [m_lo, m_hi], m_lo > 0: the floor and ceiling of the extreme corners."""
+    n_lo, n_hi = n
+    return ((n_lo << k) // (m_hi if n_lo >= 0 else m_lo),
+            -((-n_hi << k) // (m_lo if n_hi >= 0 else m_hi)))
 
 
-def _gauss_map(
-    alpha: Surd,
-    n_terms: int,
-    kind: str,
-    window: Callable[[Surd], int],
-    lower: int | ZRt2,
-    cap: int,
-) -> CFExpansion:
-    """Exact iteration of f(x) = 1/|x − a√2| with a taken from the window;
-    every iterate after the first exceeds `lower`.  With ε the sign of
-    x − a√2, f is the Möbius map [[0, 1], [ε, −ε·a√2]], one normalization
-    per term.  Raises CapExceeded when the terms need more than `cap`
-    iterations."""
+def _iterate_box(alpha: Surd, fixed: tuple[int, ...], g: IntMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(fixed, box): the _fixed_bounds of α at the precision b this step
+    reads, and bounds (K, X, X′, Y, Y′, R) in the layout of _enclose on the
+    iterate x = N/M, with N = wα − v and M = t − uα > 0 for
+    G = [[t, v], [u, w]]: X ≤ x·2^K ≤ X′ and Y ≤ x√2·2^K ≤ Y′, the corner
+    quotients of N and √2N by M, all three enclosed at the same b.
+    det G = ±1 makes M about 1/(|G|·x), so b ≥ 2·bits(G) + K + _GUARD
+    leaves K bits and more in an x of a few bits.  b only doubles: once
+    more wherever M's lower end is not positive or the box is wider than
+    4 units, as an iterate of more than about _GUARD/2 bits makes it."""
+    k, r = _ITERATE_SCALE[0], _ITERATE_SCALE[3]
+    ua, ub, ta, tb = column(g, "tu")
+    wa, wb, va, vb = column(g, "vw")
+    need = 2 * max(map(abs, g[:4])).bit_length() + k + _GUARD
+    b = fixed[0]
+    while b < need:
+        b *= 2
+    while True:
+        if b > fixed[0]:
+            fixed = _fixed_bounds(alpha, b)
+        neg_hi, neg_lo = _enclose(fixed, ua, ub, ta, tb)  # α·u − t = −M
+        m_lo, m_hi = -neg_lo, -neg_hi
+        if m_lo > 0:
+            x_lo, x_hi = _quotient(_enclose(fixed, wa, wb, va, vb), m_lo, m_hi, k)
+            if x_hi - x_lo <= 4:
+                break
+        b *= 2
+    # √2N = α·√2w − √2v, with √2·(p + q√2) = 2q + p√2
+    y_lo, y_hi = _quotient(_enclose(fixed, 2 * wb, wa, 2 * vb, va), m_lo, m_hi, k)
+    return fixed, (k, x_lo, x_hi, y_lo, y_hi, r)
+
+
+def _exact_sign(alpha: Surd, g: IntMat, ca: int, cb: int, da: int, db: int) -> int:
+    """Exact sign of x·c − d for the iterate x = N/M, M > 0, and c, d in
+    Z[√2]: the sign of N·c − M·d = α·(c·w + d·u) − (c·v + d·t)."""
+    ua, ub, ta, tb = column(g, "tu")
+    wa, wb, va, vb = column(g, "vw")
+    c, d = ZRt2(ca, cb), ZRt2(da, db)
+    return alpha.linear_sign(c * ZRt2(wa, wb) + d * ZRt2(ua, ub), c * ZRt2(va, vb) + d * ZRt2(ta, tb))
+
+
+def _side(alpha: Surd, g: IntMat, box: tuple[int, ...], pa: int, pb: int) -> int:
+    """Sign of x − (pa + pb√2), read off the box of the iterate x; the
+    exact sign decides only where the box straddles the point."""
+    lo, hi = _enclose(box, 1, 0, pa, pb)
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return _exact_sign(alpha, g, 1, 0, pa, pb)
+
+
+def _window(alpha: Surd, g: IntMat, box: tuple[int, ...], gamma: tuple[int, int]) -> int:
+    """a = ⌊(√2·x + γ)/2⌋, the largest a with x·√2 − (2a − γ) ≥ 0, for the
+    iterate x: the floors of the box's two ends, and exact signs bisect
+    between them where the box holds a window end."""
+    ga, gb = gamma
+    k = box[0]
+    lo, hi = _enclose(box, 0, 1, -ga, -gb)
+    a, top = lo >> (k + 1), hi >> (k + 1)
+    while a < top:
+        mid = (a + top + 1) // 2
+        if _exact_sign(alpha, g, 0, 1, 2 * mid - ga, -gb) >= 0:
+            a = mid
+        else:
+            top = mid - 1
+    return a
+
+
+# kind: (γ of the window a = ⌊(√2·x + γ)/2⌋, the lower end that every later
+# iterate exceeds), each as (a, b) for a + b√2.  Rosen: a√2 − 1/√2 ≤ x <
+# a√2 + 1/√2.  Dual: (a − 1)√2 + 1 ≤ x < a√2 + 1, with its closed left end.
+_KINDS = {"rosen": ((1, 0), (0, 1)), "dual-rosen": ((2, -1), (1, 0))}
+
+
+def _gauss_map(alpha: Surd, n_terms: int, kind: str, cap: int) -> CFExpansion:
+    """Iteration of f(x) = 1/|x − a√2| with a from the kind's window, on
+    the integer state G_i = −ε_i·G_{i−1}·[[a√2, ε_i], [1, 0]] with α = G_i·x_i.
+    The window, ε = sign(x − a√2) and the check that every iterate after
+    the first exceeds the window's lower end are read off one box of x_i
+    (_iterate_box) over cached integer bounds on α; the exact
+    Surd.linear_sign decides only where the box straddles, so no Surd is
+    built per term.  The check raises AssertionError under python -O too.
+    Raises CapExceeded when the terms need more than `cap` iterations."""
     if alpha.is_sqrt2_rational():
         raise DomainError("value lies in √2·Q")
-    a0 = a = window(alpha)
-    x = alpha
+    gamma, (la, lb) = _KINDS[kind]
+    g = IDENTITY
+    fixed, box = _iterate_box(alpha, _fixed_bounds(alpha, 256), g)
+    a0 = a = _window(alpha, g, box, gamma)
     terms: list[RosenDigit] = []
     while len(terms) < n_terms:
         if len(terms) >= cap:
             raise CapExceeded(f"Gauss map stopped at its cap of {cap} iterations")
-        eps = x.linear_sign(ONE, ZRt2(0, a))
-        x = Mat2.of(0, 1, eps, ZRt2(0, -eps * a)).act(x)
-        assert x.cmp(lower) > 0
-        a = window(x)
+        eps = _side(alpha, g, box, 0, a)
+        g = _step(g, a, eps)
+        fixed, box = _iterate_box(alpha, fixed, g)
+        if _side(alpha, g, box, la, lb) <= 0:
+            raise AssertionError(f"Gauss-map iterate {len(terms) + 1} does not exceed the window's lower end")
+        a = _window(alpha, g, box, gamma)
         terms.append(RosenDigit(eps, a))
     return CFExpansion(kind, a0, tuple(terms))
 
 
 def rosen_digits(alpha: Surd, n_terms: int, cap: int = DEFAULT_CAP) -> CFExpansion:
-    """Rosen expansion by exact iteration of f(x) = 1/|x − a√2| on the
+    """Rosen expansion by iteration of f(x) = 1/|x − a√2| on the
     nearest-√2-multiple window."""
-    return _gauss_map(alpha, n_terms, "rosen", _rosen_window, SQRT2, cap)
+    return _gauss_map(alpha, n_terms, "rosen", cap)
 
 
 def dual_rosen_digits(alpha: Surd, n_terms: int, cap: int = DEFAULT_CAP) -> CFExpansion:
     """Dual expansion: window (ã−1)√2 + 1 ≤ x < ã√2 + 1, closed left end."""
-    return _gauss_map(alpha, n_terms, "dual-rosen", _dual_window, 1, cap)
+    return _gauss_map(alpha, n_terms, "dual-rosen", cap)
 
 
 def rosen_flip(exp: Expansion, n: int) -> bool:

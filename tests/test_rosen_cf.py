@@ -7,15 +7,17 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h4approx.exact_field import ONE, SQRT2, Surd, ZRt2, quad_root
-from h4approx.hecke_group import DIGIT_MATRICES, J, Mat2, canonicalize_pair
-from h4approx.h4_expansion import CapExceeded, Expansion, PeriodicStream, detect_period
+from h4approx import rosen_cf
+from h4approx.exact_field import ONE, SQRT2, TWO, Surd, ZRt2, quad_root
+from h4approx.hecke_group import DIGIT_MATRICES, IDENTITY, J, Mat2, canonicalize_pair
+from h4approx.h4_expansion import CapExceeded, Expansion, PeriodicStream, _box_scale, detect_period
 from h4approx.rosen_cf import (
     CFExpansion,
     DomainError,
@@ -29,6 +31,47 @@ from h4approx.rosen_cf import (
 )
 
 SURD17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))
+
+
+def _rosen_window(x: Surd) -> int:
+    # a√2 − 1/√2 < x < a√2 + 1/√2  ⟺  a = ⌊(√2·x + 1)/2⌋
+    return x.floor_linear(SQRT2, -ONE, TWO)
+
+
+def _dual_window(x: Surd) -> int:
+    # (a−1)√2 + 1 ≤ x < a√2 + 1  ⟺  a = ⌊(x − 1)/√2⌋ + 1
+    return x.floor_linear(ONE, ONE, SQRT2) + 1
+
+
+def surd_gauss_map(alpha: Surd, n_terms: int, kind: str) -> CFExpansion:
+    """The reference Gauss map on exact iterates: f(x) = 1/|x − a√2| with a
+    from the window, each iterate one Möbius image [[0, 1], [ε, −ε·a√2]]·x
+    normalized as a Surd, and every iterate after the first above `lower`."""
+    window, lower = (_rosen_window, SQRT2) if kind == "rosen" else (_dual_window, ONE)
+    if alpha.is_sqrt2_rational():
+        raise DomainError("value lies in √2·Q")
+    a0 = a = window(alpha)
+    x = alpha
+    terms: list[RosenDigit] = []
+    while len(terms) < n_terms:
+        eps = x.linear_sign(ONE, ZRt2(0, a))
+        x = Mat2.of(0, 1, eps, ZRt2(0, -eps * a)).act(x)
+        assert x.cmp(lower) > 0
+        a = window(x)
+        terms.append(RosenDigit(eps, a))
+    return CFExpansion(kind, a0, tuple(terms))
+
+
+GAUSS_MAPS = {"rosen": rosen_digits, "dual-rosen": dual_rosen_digits}
+
+# Ties of the dual window's closed left end, where iterates in Q(√2) land on
+# (ã − 1)√2 + 1.
+TIE_INPUTS = [
+    Surd.of(ZRt2(1, 1)), Surd.of(1), Surd.of(ZRt2(-1, 2)), Surd.of(ZRt2(-1, 1)),
+    Surd.from_ratio(ZRt2(-1, 14), ZRt2(23, 0)),
+]
+# A partial quotient near 2^300, which needs α's bounds at more than the usual precision.
+HUGE_QUOTIENT = Surd(ZRt2(2**300, 0), ONE, ZRt2(3, 0), ONE).reciprocal() + SQRT2  # √2 + 1/(2^300 + √3)
 
 
 class DigitBudget(Expansion):
@@ -62,6 +105,45 @@ for regroup, convergents in (("rosen_from_h4", "rosen_convergents"), ("dual_from
         caught.append(str(exc))
 print(json.dumps({"optimize": sys.flags.optimize, "caught": caught}))
 """
+
+
+# Both Gauss maps with their first window value one too low, in a `python -O` child.
+TAMPERED_WINDOW_CHILD = """
+import json, sys
+from h4approx import rosen_cf
+from tests.test_rosen_cf import SURD17, off_by_one_window
+rosen_cf._window = off_by_one_window(rosen_cf._window)
+caught = []
+for digits in (rosen_cf.rosen_digits, rosen_cf.dual_rosen_digits):
+    try:
+        digits(SURD17, 6)
+    except AssertionError as exc:
+        caught.append(str(exc))
+print(json.dumps({"optimize": sys.flags.optimize, "caught": caught}))
+"""
+
+
+def off_by_one_window(honest):
+    """_window with a0, the first value of each map, taken one lower."""
+    def tampered(alpha, g, box, gamma):
+        a = honest(alpha, g, box, gamma)
+        return a - 1 if g == IDENTITY else a
+
+    return tampered
+
+
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """`code` in a `python -O` child, where asserts vanish, with the repo on
+    its path; it must exit 0."""
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), str(root), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc
 
 
 def random_periodic_surd(word: list[int]) -> Surd | None:
@@ -114,6 +196,166 @@ class TestGaussMapCap:
         with pytest.raises(CapExceeded):
             digits(SURD17, 6, cap=5)
         assert digits(SURD17, 6, cap=6) == digits(SURD17, 6)
+
+
+@st.composite
+def surds(draw) -> Surd:
+    """(P + Q√D)/S with small coefficients of both signs; Q = 0 in a third
+    of the draws, for values in Q(√2)."""
+    small = st.integers(-9, 9)
+    P = ZRt2(draw(small), draw(small))
+    Q = ZRt2(0, 0) if draw(st.integers(0, 2)) == 0 else ZRt2(draw(small), draw(small))
+    D = ZRt2(draw(st.integers(2, 30)), draw(st.integers(0, 3)))
+    S = ZRt2(draw(st.integers(1, 12)), draw(st.integers(0, 3)))
+    return Surd(P, Q, D, S)
+
+
+@contextmanager
+def counting_exact_signs():
+    """A one-item list that counts Surd.linear_sign calls inside the block."""
+    calls = [0]
+    real = Surd.linear_sign
+
+    def counting(self, c, d):
+        calls[0] += 1
+        return real(self, c, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Surd, "linear_sign", counting)
+        yield calls
+
+
+def integer_gauss_map(alpha: Surd, n_terms: int, kind: str) -> CFExpansion:
+    return GAUSS_MAPS[kind](alpha, n_terms)
+
+
+def expansions(gauss_map, alphas, n_terms: int) -> list:
+    """(kind, a0, terms) of both kinds for each α, or "DomainError"."""
+    out = []
+    for alpha in alphas:
+        for kind in GAUSS_MAPS:
+            try:
+                cf = gauss_map(alpha, n_terms, kind)
+            except DomainError:
+                out.append("DomainError")
+            else:
+                out.append((cf.kind, cf.a0, cf.terms))
+    return out
+
+
+class TestIntegerGaussMap:
+    """The Gauss map on the integer state against the reference Surd map."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(surds(), st.booleans())
+    def test_random_surds_match_the_reference(self, alpha, coarse):
+        with pytest.MonkeyPatch.context() as mp:
+            if coarse:  # a 2^−2 box straddles often, so the exact signs decide
+                mp.setattr(rosen_cf, "_ITERATE_SCALE", _box_scale(2))
+            got = expansions(integer_gauss_map, [alpha], 12)
+        assert got == expansions(surd_gauss_map, [alpha], 12)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """The inputs, each with the reference expansions: the ties, the
+        huge quotient, SURD17, 1/2, (3 + √2)/7 and the negative
+        (−5 + 2√2 + √3)/2 at 30 terms, the corpus at 50."""
+        from h4approx.cli import make_corpus
+
+        specials = (*TIE_INPUTS, HUGE_QUOTIENT, SURD17, Surd.from_ratio(ONE, TWO),
+                    Surd.from_ratio(ZRt2(3, 1), ZRt2(7, 0)), Surd(ZRt2(-5, 2), ONE, ZRt2(3, 0), TWO))
+        corpus = make_corpus(seed=1, size=100, coeff_bound=5)
+        return (specials, expansions(surd_gauss_map, specials, 30),
+                corpus, expansions(surd_gauss_map, corpus, 50))
+
+    @pytest.mark.parametrize("k", [64, 2])
+    def test_ties_and_the_corpus_match_the_reference(self, monkeypatch, reference, k):
+        specials, want_specials, corpus, want_corpus = reference
+        monkeypatch.setattr(rosen_cf, "_ITERATE_SCALE", _box_scale(k))
+        with counting_exact_signs() as tie_calls:
+            assert expansions(integer_gauss_map, specials, 30) == want_specials
+        with counting_exact_signs() as corpus_calls:
+            assert expansions(integer_gauss_map, corpus, 50) == want_corpus
+        assert tie_calls[0] > 0  # the ties reach the exact fallback at any scale
+        # At 2^−64 only the ties of (−1 + 14√2)/23 do; at 2^−2 every input does.
+        assert corpus_calls[0] < 100 if k == 64 else corpus_calls[0] > 1000
+
+    def test_huge_quotient_doubles_the_precision(self):
+        # x_1 ≈ 2^300 needs α's bounds at more than 2·bits(G) + 128 bits;
+        # the box at too few would leave the window to ~90 exact signs.
+        for digits in GAUSS_MAPS.values():
+            with counting_exact_signs() as calls:
+                assert digits(HUGE_QUOTIENT, 3).terms[0].a.bit_length() == 300
+            assert calls[0] <= 2  # ε of α beside √2, and of x_1 beside a_1√2
+
+    def test_deep_terms_build_no_surd_and_no_mat2(self, monkeypatch):
+        """corpus[3] × 200 terms of either kind: no Surd, no Mat2 and no
+        exact sign; the reference map builds a Surd per term."""
+        from h4approx.cli import make_corpus
+
+        alpha = make_corpus(1, 5, 5)[3]
+        built = {Surd: 0, Mat2: 0}
+        real_post_init, real_mat2_init = Surd.__post_init__, Mat2.__init__
+
+        def counted_surd(self):
+            built[Surd] += 1
+            real_post_init(self)
+
+        def counted_mat2(self, *args):
+            built[Mat2] += 1
+            real_mat2_init(self, *args)
+
+        monkeypatch.setattr(Surd, "__post_init__", counted_surd)
+        monkeypatch.setattr(Mat2, "__init__", counted_mat2)
+        with counting_exact_signs() as calls:
+            assert surd_gauss_map(alpha, 5, "rosen") is not None
+            seen = (built[Surd], built[Mat2], calls[0])
+            assert min(seen) >= 5, "the counters must see the reference"
+            built.update({Surd: 0, Mat2: 0})
+            calls[0] = 0
+            for digits in GAUSS_MAPS.values():
+                assert len(digits(alpha, 200).terms) == 200
+        assert (built[Surd], built[Mat2], calls[0]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("kind", ["rosen", "dual-rosen"])
+    def test_a_wrong_window_trips_the_iterate_check(self, monkeypatch, kind):
+        # One window value one too low sends the next iterate to or below
+        # the window's lower end, which must raise.
+        monkeypatch.setattr(rosen_cf, "_window", off_by_one_window(rosen_cf._window))
+        with pytest.raises(AssertionError, match="does not exceed the window's lower end"):
+            GAUSS_MAPS[kind](SURD17, 6)
+
+    def test_the_iterate_check_survives_python_O(self):
+        proc = run_child(TAMPERED_WINDOW_CHILD)
+        result = json.loads(proc.stdout)
+        assert result["optimize"] == 1
+        assert result["caught"] == ["Gauss-map iterate 1 does not exceed the window's lower end"] * 2
+
+
+class TestConvergentRecurrence:
+    def test_pairs_match_the_zrt2_recurrence(self):
+        from h4approx.cli import make_corpus
+
+        for alpha in (SURD17, Surd.of(1), *make_corpus(seed=1, size=10, coeff_bound=5)):
+            for digits in GAUSS_MAPS.values():
+                cf = digits(alpha, 30)
+                r_prev, s_prev, r, s = ONE, ZRt2(0, 0), ZRt2(0, cf.a0), ONE
+                want = [(r, s)]
+                for t in cf.terms:
+                    r, r_prev = ZRt2(0, t.a) * r + t.eps * r_prev, r
+                    s, s_prev = ZRt2(0, t.a) * s + t.eps * s_prev, s
+                    want.append((r, s))
+                got = cf.convergents()
+                assert [(c.r, c.s) for c in got] == want
+                assert [c.index for c in got] == list(range(31)) and {c.kind for c in got} == {cf.kind}
+                assert [c.frac for c in got] == [canonicalize_pair(r, s) for r, s in want]
+
+    def test_denominators_must_increase(self):
+        # ε = −1 after a_1 = 1 breaks the Rosen rule, so s_2 = 2·1·1 − 1 = 1 < s_1 = √2.
+        cf = rosen_digits(SURD17, 2)
+        object.__setattr__(cf, "terms", (RosenDigit(1, 1), RosenDigit(-1, 1)))
+        with pytest.raises(AssertionError, match="denominators not increasing at i=2"):
+            cf.convergents()
 
 
 class TestRosenDigits:
@@ -318,15 +560,7 @@ class TestPipelineAgreement:
     def test_convergents_check_the_regrouping_under_python_O(self):
         # The same tampering in a `python -O` child, where asserts vanish:
         # the cross-check must still raise.
-        root = Path(__file__).resolve().parent.parent
-        path = [str(root / "src"), str(root), *filter(None, [os.environ.get("PYTHONPATH")])]
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", TAMPERED_CHILD],
-            cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        result = json.loads(proc.stdout)
+        result = json.loads(run_child(TAMPERED_CHILD).stdout)
         assert result["optimize"] == 1
         assert result["caught"] == ["Gauss map and word regrouping disagree"] * 2
 

@@ -162,7 +162,8 @@ def best_approximations(
         # staying side's flags are true, the other side closes with no
         # emission, and the smaller denominator is the column the run's
         # digit fixes, so the stop test cannot fire before j.  Those
-        # indices only move the closing side's start.  No digit past
+        # indices only move the closing side's start.  run_end looks j up
+        # in the expansion's segments, each a maximal run.  No digit past
         # cap + 1 is read, and a run through it leaves j past the cap.
         n = exp.run_end(n + 1, cap + 1)
         ranges["vw" if d_next == 3 else "tu"] = (n, False, False, False)

@@ -526,14 +526,21 @@ class Surd:
     def linear_ints(self, ca: int, cb: int, da: int, db: int) -> Surd:
         """self·c − d for c = ca + cb√2 and d = da + db√2 given as plain
         ints, built once as (X + Y√D)/S from the X = Pc − dS and Y = Qc of
-        linear_sign_ints, with no Z[√2] product on the way."""
+        linear_sign_ints, with no Z[√2] product on the way.  Self's normal
+        form already has D a non-square and S a positive integer, so only
+        the content is divided out, and D becomes 1 when Y = 0."""
         P, Q, s = self.P, self.Q, self.S.a
-        return Surd(
-            ZRt2(P.a * ca + 2 * P.b * cb - da * s, P.a * cb + P.b * ca - db * s),
-            ZRt2(Q.a * ca + 2 * Q.b * cb, Q.a * cb + Q.b * ca),
-            self.D,
-            self.S,
-        )
+        xa, xb = P.a * ca + 2 * P.b * cb - da * s, P.a * cb + P.b * ca - db * s
+        ya, yb = Q.a * ca + 2 * Q.b * cb, Q.a * cb + Q.b * ca
+        g = _content(xa, xb, ya, yb, s)
+        if g > 1:
+            xa, xb, ya, yb, s = xa // g, xb // g, ya // g, yb // g, s // g
+        out, put = object.__new__(Surd), object.__setattr__
+        put(out, "P", ZRt2(xa, xb))
+        put(out, "Q", ZRt2(ya, yb))
+        put(out, "D", self.D if ya or yb else ONE)
+        put(out, "S", ZRt2(s, 0))
+        return out
 
     def is_zero(self) -> bool:
         return self.sign() == 0

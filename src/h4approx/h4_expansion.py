@@ -4,15 +4,18 @@ and periodicity detection.
 
 Two interchangeable backends drive everything downstream: an exact surd
 (digits read off a 128-bit integer box around the tail, as Lehmer reads
-quotients off leading words, with the sign of α·c − d for c, d read off
-the integer state of G_n wherever the box holds a boundary; tails on
-demand from G_n) and a symbolic digit stream (digits prescribed by a rule;
-tail questions answered combinatorially).  Period detection scans
-β = α/√2 as integer triples.
+quotients off leading words, a whole run of 1s or 3s in one step, with
+the sign of α·c − d for c, d read off the integer state of G_n wherever
+the box holds a boundary; tails on demand from G_n) and a symbolic digit
+stream (digits prescribed by a rule; tail questions answered
+combinatorially).  Either way the expansion is stored by segments, runs
+of 1s or 3s and single 2s, with G_n kept only where a segment starts.
+Period detection scans β = α/√2 as integer triples.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 from operator import add
@@ -20,7 +23,7 @@ from typing import Callable, Union
 
 from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2, _root_sign
 from .hecke_group import (
-    IDENTITY, IntMat, Mat2, T, as_mat2, column, column_fraction, denominator_sq, times_digit,
+    IDENTITY, IntMat, Mat2, T, as_mat2, column, column_fraction, denominator_sq, times_digit, times_run,
 )
 
 DEFAULT_CAP = 100_000  # walk indices, Gauss-map terms, digit scans, period scans, oracle denominators
@@ -207,39 +210,44 @@ _SCALE = _box_scale(128)  # the tail box α_n ∈ [L, H]·2^−K of the surd bac
 _GUARD = 64  # bits of α's bounds beyond 2·bits(G_n) + K at a refresh, and 2·bits(c, d) in alpha_sign
 
 
-def _box_digit(box: tuple[int, int] | None) -> int:
-    """The cylinder that holds the box [L, H]·2^−K: 1 when 2H² < 4^K, 3 when
-    L² > 2·4^K, 2 when 2L² > 4^K and H² < 2·4^K; 0 when the box holds a
-    boundary or there is no box."""
+def _box_run(box: tuple[int, int] | None) -> tuple[int, int]:
+    """The digit d whose cylinder holds the box [L, H]·2^−K, and how many
+    digits d in a row the box certifies; (0, 0) when the box holds a
+    boundary or there is no box.  The cylinders: 1 when 2H² < 4^K, 3 when
+    L² > 2·4^K, 2 when 2L² > 4^K and H² < 2·4^K.  A run of 3s is
+    x ↦ x − √2 repeated, and the j-th 3 needs x > j√2: L ≥ j(R + 1) holds
+    it for j ≤ L // (R + 1).  A run of 1s is x ↦ x/(1 − √2x) repeated, and
+    the j-th 1 needs j√2x < 1: j(R + 1)H < 4^K holds it, and 2H² < 4^K
+    the first one.  A 2 is one digit."""
     if box is None:
-        return 0
-    _, _, _, r, i = _SCALE
+        return 0, 0
+    _, _, sq, r, i = _SCALE
     lo, hi = box
     if hi <= i:
-        return 1
+        return 1, max(1, (sq - 1) // ((r + 1) * hi))
     if lo > r:
-        return 3
-    return 2 if lo > i and hi <= r else 0
+        return 3, lo // (r + 1)
+    return (2, 1) if lo > i and hi <= r else (0, 0)
 
 
-def _box_step(box: tuple[int, int], d: int) -> tuple[int, int] | None:
-    """The box of the next tail A_d⁻¹·x over x in [L, H]·2^−K, with √2 in
-    [R, R + 1]·2^−K and every end rounded outward; None (the box is
-    dropped) when a rounded denominator or the new lower end is not
-    positive.  The three maps x − √2, x/(1 − √2x) and (√2x − 1)/(√2 − x)
-    increase in x on their cylinders.  In √2 the first decreases and the
-    second increases; the third has derivative (1 − x²)/(√2 − x)², so its
-    lower end takes R when L ≤ 2^K and R + 1 above, its upper end the other
-    way round."""
+def _box_step(box: tuple[int, int], d: int, m: int) -> tuple[int, int] | None:
+    """The box of the tail A_d^−m·x over x in [L, H]·2^−K, m digits d that
+    _box_run certified, with √2 in [R, R + 1]·2^−K and every end rounded
+    outward; None (the box is dropped) when a rounded denominator or the
+    new lower end is not positive.  The maps x − m√2, x/(1 − m√2x) and,
+    for m = 1, (√2x − 1)/(√2 − x) increase in x on their cylinders.  In √2
+    the first decreases and the second increases; the third has derivative
+    (1 − x²)/(√2 − x)², so its lower end takes R when L ≤ 2^K and R + 1
+    above, its upper end the other way round."""
     _, one, sq, r, _ = _SCALE
     lo, hi = box
     if d == 3:
-        lo, hi = lo - r - 1, hi - r
+        lo, hi = lo - m * (r + 1), hi - m * r
     elif d == 1:
-        den = sq - (r + 1) * hi
+        den = sq - m * (r + 1) * hi
         if den <= 0:
             return None
-        lo, hi = lo * sq // (sq - r * lo), -(-hi * sq // den)
+        lo, hi = lo * sq // (sq - m * r * lo), -(-hi * sq // den)
     else:
         if hi >= r:
             return None
@@ -291,31 +299,39 @@ def _enclose(bounds: tuple[int, ...], ca: int, cb: int, da: int, db: int) -> tup
 class Expansion:
     """Lazy digit/convergent engine over either backend.
 
-    Digits and the integer state (T, V, U, W, parity) of each G_n are
-    cached as the walk advances, and every read of a cached index skips
-    _extend.  A surd backend keeps α besides them, an integer box
-    α_n ∈ [L, H]·2^−K around the current tail, and integer bounds on α for
+    The unit of storage is a segment: a maximal run of 1s or of 3s, or a
+    single 2.  Digits and sign(α*_n − 1) are flat lists; the integer state
+    (T, V, U, W, parity) of G_n is kept only at each segment start and at
+    the head n = len(_digits).  Inside a run, state(n) is one closed form
+    from the segment's start (times_run): A1 and A3 are parabolic.  Every
+    read of a cached index skips _extend, and _extend(n) never makes index
+    n + 1 readable.  A surd backend keeps α besides them, an integer box
+    α_n ∈ [L, H]·2^−K around the head's tail, and integer bounds on α for
     rebuilding that box; tails are built on demand from G_n.  The box
-    decides each digit whose cylinder holds it and steps to the next tail
-    with outward rounding, so the G_n-sized numbers are touched only to
-    rebuild it, every few hundred digits on a typical surd.  Where a fresh
-    box still holds a boundary, the digit is the exact _surd_step: since
-    G_n is increasing on (0, ∞), α_n < x ⟺ α < G_n·x, one predicate
+    decides the next digit when one cylinder holds it, and a whole run of
+    1s or 3s in one step (_box_run), then steps past the digits taken with
+    outward rounding, so the G_n-sized numbers are touched only to rebuild
+    it, every few hundred digits on a typical surd.  Where a fresh box
+    still holds a boundary, the digit is the exact _surd_step: since G_n is
+    increasing on (0, ∞), α_n < x ⟺ α < G_n·x, one predicate
     α.linear_sign_ints(c, d) with c, d the integer halves of a column of
-    G_n·A_d.  The digit word decides where α_n and α*_n lie against 1: A1
-    maps (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is
+    G_n·A_d.  Stream digits arrive one at a time and are stored as
+    segments.  The digit word decides where α_n and α*_n lie against 1:
+    A1 maps (0, ∞] into (0, 1/√2], A3 into [√2, ∞], and A2 fixes 1 and is
     increasing.  Before a digit 2, the box that read it gives sign(α_n − 1)
     when it lies on one side of 1, and alpha_sign, on the bounds on α,
-    gives it otherwise; either answer is kept.  run_end finds where a run
-    of equal digits ends.  matrix(n) builds G_n over Z[√2] for the callers
+    gives it otherwise; either answer is kept.  run_end and leading_threes
+    are segment lookups.  matrix(n) builds G_n over Z[√2] for the callers
     that need one.  Emitted values are immutable and safe to share.
     """
 
     def __init__(self, source: Source, cap: int = DEFAULT_CAP):
         self.cap = cap
         self._digits: list[int] = []
-        self._states: list[IntMat] = [IDENTITY]
         self._stars: list[int] = [1]  # sign(α*_n − 1); α*_0 = ∞
+        self._starts: list[int] = []  # the index n before each segment's first digit
+        self._heads: list[IntMat] = []  # G_n at each of those n
+        self._head: IntMat = IDENTITY  # G_n at n = len(_digits)
         self._boundary: str | None = None
         self._box: tuple[int, int] | None = None  # α_n ∈ [L, H]·2^−K at n = len(_digits)
         self._fixed: tuple[int, ...] | None = None  # _fixed_bounds of α, at the largest b used
@@ -336,47 +352,57 @@ class Expansion:
         return len(self._digits) if self._boundary is not None else None
 
     def _extend(self, n: int) -> None:
-        while len(self._digits) < n:
+        digits, stars = self._digits, self._stars
+        while (k := len(digits)) < n:
             if self._boundary is not None:
-                raise Terminated(self._boundary, len(self._digits))
+                raise Terminated(self._boundary, k)
             try:
                 if self.stream is not None:
-                    d = self.stream.digit(len(self._digits) + 1)
+                    d, m = self.stream.digit(k + 1), 1
                     if d not in (1, 2, 3):
-                        raise ValueError(f"digit {d!r} at index {len(self._digits) + 1} is not 1, 2 or 3")
-                    g = times_digit(self._states[-1], d)
+                        raise ValueError(f"digit {d!r} at index {k + 1} is not 1, 2 or 3")
                 else:
-                    d, g = self._surd_digit(self._states[-1])
+                    d, m = self._surd_run(n - k)
             except Terminated as exc:
                 self._boundary = exc.boundary
                 continue
-            self._digits.append(d)
-            self._states.append(g)
-            self._stars.append(_OUTER_SIGN.get(d, self._stars[-1]))
+            if d == 2 or not k or digits[-1] != d:  # a new segment
+                self._starts.append(k)
+                self._heads.append(self._head)
+            if m == 1:
+                self._head = times_digit(self._head, d)
+                digits.append(d)
+                stars.append(_OUTER_SIGN.get(d, stars[-1]))
+            else:  # a run of 1s or 3s
+                self._head = times_run(self._head, d, m)
+                digits += [d] * m
+                stars += [_OUTER_SIGN[d]] * m
 
-    def _surd_digit(self, g: IntMat) -> tuple[int, IntMat]:
-        """The digit after G = G_n and G·A_d, read off the tail box when it
-        lies in one cylinder.  A box that holds a boundary, or was dropped,
-        is rebuilt from G once; when the fresh box holds a boundary too, the
-        exact _surd_step decides, and the box is rebuilt at the next digit.
-        A √2·Q value puts its boundary in every box, so it ends in
-        _surd_step's Terminated at the same call as the exact chain.  A box
-        in the cylinder of 2 that lies on one side of 1 also gives
-        sign(α_n − 1), which tail_cmp_one would otherwise ask of α."""
+    def _surd_run(self, limit: int) -> tuple[int, int]:
+        """The next digit d and how many of them, at most `limit`, follow
+        the head, read off the tail box when it lies in one cylinder.  A
+        box that holds a boundary, or was dropped, is rebuilt from G_n
+        once; when the fresh box holds a boundary too, the exact _surd_step
+        decides one digit, and the box is rebuilt at the next one.  A √2·Q
+        value puts its boundary in every box, so it ends in _surd_step's
+        Terminated at the same index as the exact chain.  A box in the
+        cylinder of 2 that lies on one side of 1 also gives sign(α_n − 1),
+        which tail_cmp_one would otherwise ask of α."""
         box = self._box
-        d = _box_digit(box)
+        d, m = _box_run(box)
         if not d:
-            box = self._box = self._refresh(g)
-            d = _box_digit(box)
+            box = self._box = self._refresh(self._head)
+            d, m = _box_run(box)
             if not d:
                 self._box = None
-                return self._surd_step(g)
+                return self._surd_step(self._head)[0], 1
         if d == 2:
             one = _SCALE[1]
             if box[0] > one or box[1] < one:
                 self._tail_signs[len(self._digits)] = 1 if box[0] > one else -1
-        self._box = _box_step(box, d)
-        return d, times_digit(g, d)
+        m = min(m, limit)
+        self._box = _box_step(box, d, m)
+        return d, m
 
     def _refresh(self, g: IntMat) -> tuple[int, int] | None:
         """The tail box of α_n = N/M, N = wα − v and M = t − uα for
@@ -461,15 +487,19 @@ class Expansion:
     def run_end(self, n: int, last: int) -> int:
         """The last index of the run of equal digits through d_n: the least
         j ≥ n with d_{j+1} ≠ d_n, or `last` when the run holds every digit
-        up to `last`.  No digit past `last` is read."""
-        digits = self._digits
+        up to `last`.  A segment is a maximal run, so a closed one answers
+        at once; at the head, one _extend asks for every digit d the tail
+        box certifies (a stream has no box).  No digit past `last` is read."""
+        digits, starts = self._digits, self._starts
         d = self.digit(n)
         while n < last:
             if n == len(digits):
-                self._extend(n + 1)
+                box_d, m = _box_run(self._box)
+                self._extend(min(last, n + (m if box_d == d else 1)))
             if digits[n] != d:
                 break
-            n += 1
+            i = bisect_right(starts, n)  # the segment after the one holding d_{n+1}
+            n = min(last, starts[i] if i < len(starts) else len(digits))
         return n
 
     def word(self, n: int) -> tuple[int, ...]:
@@ -477,10 +507,17 @@ class Expansion:
         return tuple(self._digits[:n])
 
     def state(self, n: int) -> IntMat:
-        """G_n as its integer state (T, V, U, W, parity)."""
-        if n > len(self._digits):
-            self._extend(n)
-        return self._states[n]
+        """G_n as its integer state (T, V, U, W, parity): the head, a
+        segment start, or times_run from the start of the segment holding
+        index n."""
+        if n >= len(self._digits):
+            if n > len(self._digits):
+                self._extend(n)
+            if n == len(self._digits):
+                return self._head
+        i = bisect_right(self._starts, n) - 1
+        k = n - self._starts[i]
+        return times_run(self._heads[i], self._digits[n - 1], k) if k else self._heads[i]
 
     def matrix(self, n: int) -> Mat2:
         """G_n over Z[√2], built from its integer state on each call."""
@@ -500,9 +537,10 @@ class Expansion:
         after n, its boundary does (1/√2 is below 1, √2 above).  Only after a
         2 is the backend asked.  On a surd, the tail box that read the 2
         answers when it lies on one side of 1, else alpha_sign of α(u + w)
-        against t + v does, and the answer is kept.  On a stream, the next
-        digit other than 2 answers."""
-        g = self.state(n)
+        against t + v does, on G_n, and the answer is kept.  On a stream,
+        the next digit other than 2 answers."""
+        if n > len(self._digits):
+            self._extend(n)
         try:
             d = self.digit(n + 1)
             if d != 2:
@@ -510,6 +548,7 @@ class Expansion:
             if self.alpha is not None:
                 sign = self._tail_signs.get(n)
                 if sign is None:  # the columns t/u and v/w added
+                    g = self.state(n)
                     sign = self._tail_signs[n] = self.alpha_sign(*map(add, column(g, "tu"), column(g, "vw")))
                 return sign
             assert self.stream is not None
@@ -527,11 +566,13 @@ class Expansion:
         return self._stars[n]
 
     def leading_threes(self) -> int:
-        m = 0
-        while self.digit(m + 1) == 3:
-            m += 1
-            if m > self.cap:
-                raise CapExceeded("unbounded run of leading 3 digits")
+        """The length of the leading run of 3s, by run_end: a run of more
+        than `cap` raises CapExceeded, and no digit past cap + 1 is read."""
+        if self.digit(1) != 3:
+            return 0
+        m = self.run_end(1, self.cap + 1)
+        if m > self.cap:
+            raise CapExceeded("unbounded run of leading 3 digits")
         return m
 
     def tail_bounds(self, n: int, tol_digits: int = 30) -> tuple[QRt2, QRt2]:

@@ -8,7 +8,7 @@ Every element also has one of two parity forms, so each entry is one
 integer times 1 or √2.  A chain G_n = A_{d_1}···A_{d_n} is carried as the
 integer state (T, V, U, W, parity): parity 0 is [[T, V√2], [U√2, W]] and
 parity 1 is [[T√2, V], [U, W√2]].  times_digit advances that state on
-plain ints, and as_mat2 builds the Z[√2] matrix only for callers that
+plain ints, times_run by a run of 1s or 3s in one step, and as_mat2 builds the Z[√2] matrix only for callers that
 need one.  Mat2 over Z[√2] holds the generators, membership and the
 Möbius action.
 """
@@ -129,6 +129,16 @@ def times_digit(g: IntMat, d: int) -> IntMat:
     if d == 3:
         return (T, T + V, U, 2 * U + W, 0)
     return (T + V, T + 2 * V, 2 * U + W, U + W, 1)
+
+
+def times_run(g: IntMat, d: int, k: int) -> IntMat:
+    """G·A_d^k on the integer state of G for d in {1, 3}: A1 and A3 are
+    parabolic and keep the parity, so a run of k of them is one step, k
+    times √2 × one column added to the other."""
+    T, V, U, W, par = g
+    if d == 3:
+        return (T, V + 2 * k * T, U, W + k * U, 1) if par else (T, V + k * T, U, W + 2 * k * U, 0)
+    return (T + k * V, V, U + 2 * k * W, W, 1) if par else (T + 2 * k * V, V, U + k * W, W, 0)
 
 
 def as_mat2(g: IntMat) -> Mat2:

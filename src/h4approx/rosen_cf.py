@@ -19,7 +19,9 @@ from itertools import chain, islice
 from typing import Callable, Iterator
 
 from .exact_field import Surd, ZRt2, zrt2_sign
-from .hecke_group import IDENTITY, H4Fraction, IntMat, Mat2, as_mat2, canonicalize_pair, column
+from .hecke_group import (
+    FAMILY_ODD_OVER_SQRT2, FAMILY_SQRT2_OVER_ODD, IDENTITY, H4Fraction, IntMat, Mat2, as_mat2, column,
+)
 from .h4_expansion import (
     _GUARD, DEFAULT_CAP, CapExceeded, Expansion, Source, _box_scale, _enclose, _fixed_bounds,
 )
@@ -84,11 +86,16 @@ class CFExpansion:
         """r_i/s_i by the recurrence r_i = a_i√2·r_{i−1} + ε_i·r_{i−2} (the
         same for s) on (a, b) int pairs for a + b√2; denominators must
         increase.  ZRt2 values and fractions are built only for the pairs
-        returned."""
+        returned.  Each pair is already canonical, as column_fraction reads
+        a column: r_i·s_{i−1} − r_{i−1}·s_i = ±1 makes it primitive, the
+        parity forms alternate from r_0 = a0√2 and s_0 = 1, which puts the
+        odd entry and the √2 where the canonical form has them, and
+        s_i ≥ s_0 = 1."""
 
         def pair(i: int, r: tuple[int, int], s: tuple[int, int]) -> ConvergentPair:
             rz, sz = ZRt2(*r), ZRt2(*s)
-            return ConvergentPair(rz, sz, i, self.kind, canonicalize_pair(rz, sz))
+            family = FAMILY_ODD_OVER_SQRT2 if s[1] else FAMILY_SQRT2_OVER_ODD
+            return ConvergentPair(rz, sz, i, self.kind, H4Fraction(rz, sz, family))
 
         r, r_prev = (0, self.a0), (1, 0)  # r_0 = a0√2, r_{−1} = 1
         s, s_prev = (1, 0), (0, 0)  # s_0 = 1, s_{−1} = 0

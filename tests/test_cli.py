@@ -311,20 +311,20 @@ class TestCountsAndBudgets:
     def test_leading_threes_respect_cap(self, command, monkeypatch, capsys):
         """2,000,000 starts with over a million 3s: the run of leading 3s
         counts against the cap, so at most cap + 1 digits are expanded."""
-        steps = 0
-        real_step = Expansion._surd_digit
+        expanded = 0
+        real_extend = Expansion._extend
 
-        def counted_step(self, g):
-            nonlocal steps
-            steps += 1
-            return real_step(self, g)
+        def counted_extend(self, n):
+            nonlocal expanded
+            real_extend(self, n)
+            expanded = max(expanded, len(self._digits))
 
-        monkeypatch.setattr(Expansion, "_surd_digit", counted_step)
+        monkeypatch.setattr(Expansion, "_extend", counted_extend)
         big = '{"P":[2000000,0],"Q":[0,0],"D":[1,0],"S":[1,0]}'
         assert run([*command, "--alpha", big, "--cap-iterations", "10"]) == 3
         captured = capsys.readouterr()
         assert "leading 3 digits" in captured.err and captured.out == ""
-        assert 0 < steps <= 11
+        assert 0 < expanded <= 11
 
     def test_period_digits_zero_is_a_bound(self, capsys):
         # surd17 has period 6: --digits 0 and 3 both trip, 6 does not.

@@ -241,6 +241,18 @@ class TestLinearSign:
     def test_linear_ints_is_the_built_difference(self, alpha, c, d):
         assert alpha.linear_ints(c.a, c.b, d.a, d.b) == alpha * c - d
 
+    @given(_surds(), _ZRT2, _ZRT2)
+    @settings(max_examples=300, deadline=None)
+    def test_linear_ints_is_the_full_constructors_normal_form(self, alpha, c, d):
+        """linear_ints skips the radicand and denominator normalization that
+        α's normal form makes redundant; its fields equal the full
+        constructor's on the same (X + Y√D)/S, c = 0 included."""
+        for cc in (c, ZRt2(0, 0)):
+            x = alpha.P * cc - d * alpha.S
+            full = Surd(x, alpha.Q * cc, alpha.D, alpha.S)
+            fast = alpha.linear_ints(cc.a, cc.b, d.a, d.b)
+            assert fast == full  # dataclass equality: P, Q, D and S
+
     @given(_ZRT2, _ZRT2.filter(lambda q: not q.is_zero()), _ZRT2)
     @settings(deadline=None)
     def test_exact_tie_on_degenerate_value(self, p, q, k):

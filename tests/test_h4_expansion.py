@@ -712,13 +712,16 @@ def _step_chain(alpha: Surd, n_max: int):
 
 
 def _block_chain(alpha: Surd, n_max: int):
-    """The same four things from Expansion.word, the block engine."""
+    """The same four things from Expansion.word and Expansion.state, the
+    block engine."""
     exp = Expansion(alpha)
     try:
         exp.word(n_max)
     except Terminated as exc:
-        return exp._digits, exp._states, exc.boundary, exc.length
-    return exp._digits, exp._states, None, None
+        end, boundary, length = exc.length, exc.boundary, exc.length
+    else:
+        end, boundary, length = n_max, None, None
+    return list(exp.word(end)), [exp.state(i) for i in range(end + 1)], boundary, length
 
 
 COEFF = st.integers(-10**6, 10**6)
@@ -730,7 +733,7 @@ def big_surds(draw) -> Surd:
     half of them translated by a multiple of √2 into [0, √2), which drops
     a leading run of 3s."""
     da = draw(st.integers(1, 10**6))
-    D = ZRt2(da, draw(st.integers(-(da * 7) // 10, 10**6)))  # da + db√2 > 0
+    D = ZRt2(da, draw(st.integers(-(da * 7 // 10), 10**6)))  # da + db√2 > 0
     P, Q = ZRt2(draw(COEFF), draw(COEFF)), ZRt2(draw(COEFF), draw(COEFF))
     alpha = Surd(P, Q, D, ZRt2(draw(st.integers(1, 10**6)), draw(COEFF)))
     assume(not alpha.is_zero())
@@ -880,3 +883,178 @@ class TestCachedReads:
         for read in (budget.digit, budget.state, budget.star_cmp_one):
             with pytest.raises(AssertionError, match="past the budget"):
                 read(6)
+
+
+def _outcome(read):
+    """A reader's answer, or the Terminated or CapExceeded it raised."""
+    try:
+        return read()
+    except Terminated as exc:
+        return ("terminated", exc.boundary, exc.length)
+    except CapExceeded:
+        return ("cap",)
+
+
+def _readers(cls, source, n: int, cap: int) -> dict:
+    """Every reader of a `cls` expansion up to index n, or up to the end of
+    a √2·Q value: each on a fresh expansion first, where it is the one
+    that extends, then all of them again on one expansion read in order."""
+    fresh = {
+        "word": _outcome(lambda: cls(source).word(n)),
+        "state": _outcome(lambda: cls(source).state(n)),
+        "star": _outcome(lambda: cls(source).star_cmp_one(n)),
+        "tail": _outcome(lambda: cls(source).tail_cmp_one(n)),
+        "run_end": _outcome(lambda: cls(source).run_end(1, n)),
+        "leading": _outcome(lambda: cls(source, cap).leading_threes()),
+    }
+    exp, end = cls(source), n
+    try:
+        exp.word(n)
+    except Terminated as exc:
+        end = exc.length
+    ends, i = [], 1
+    while i <= end:  # the run ends met by a walk that jumps each run
+        ends.append(exp.run_end(i, end))
+        i = ends[-1] + 1
+    return {
+        **fresh,
+        "end": end,
+        "boundary": exp.terminated_length,
+        "past": _outcome(lambda: exp.tail_cmp_one(end + 1)),
+        "digits": [exp.digit(i) for i in range(1, end + 1)],
+        "states": [exp.state(i) for i in range(end + 1)],
+        "tails": [exp.tail_cmp_one(i) for i in range(end)],
+        "stars": [exp.star_cmp_one(i) for i in range(end + 1)],
+        "ends": ends,
+        "run_ends": [exp.run_end(i, end) for i in range(1, end + 1)],
+        "word_again": exp.word(end),
+    }
+
+
+def _same_as_the_reference(source, n: int, cap: int = 40) -> dict:
+    from tests.digit_expansion import DigitExpansion
+
+    got = _readers(Expansion, source, n, cap)
+    assert got == _readers(DigitExpansion, source, n, cap)
+    return got
+
+
+DIGITS = st.sampled_from([1, 2, 3])
+
+
+class TestRunLengthEngine:
+    """Expansion keeps states only at segment starts and reads runs of 1s
+    and 3s off the box in one step; the per-digit route of
+    tests/digit_expansion.py is the reference every reader must equal."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_surds(), st.integers(1, 1500), st.integers(0, 60))
+    def test_random_surds(self, alpha, n, cap):
+        _same_as_the_reference(alpha, n, cap)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 60), st.integers(1, 600))
+    def test_q_sqrt2_values(self, a, b, c, n):
+        alpha = abs(Surd.from_ratio(ZRt2(a, b), ZRt2(c, 0)))
+        assume(not alpha.is_zero())
+        _same_as_the_reference(alpha, n)
+
+    def test_sqrt2_rationals_and_long_runs(self):
+        """The boundary values, SURD17, and surds whose words open with a
+        run longer than the cap: 2,000,000 with over a million 3s and
+        1/20000 with over ten thousand 1s."""
+        for a in range(1, 10):
+            for b in range(1, 10):
+                for alpha in (Surd.from_ratio(ZRt2(0, a), ZRt2(b, 0)), Surd.from_ratio(ZRt2(a, 0), ZRt2(0, b))):
+                    assert _same_as_the_reference(alpha, 200)["boundary"] is not None
+        for alpha in (Surd.of(2_000_000), Surd.from_ratio(ONE, ZRt2(20_000, 0))):
+            assert _same_as_the_reference(alpha, 300, cap=150)["ends"] == [300]
+        _same_as_the_reference(SURD17, 300, cap=150)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(DIGITS, max_size=12), st.lists(DIGITS, min_size=1, max_size=6), st.integers(1, 200))
+    def test_periodic_streams(self, pre, period, n):
+        _same_as_the_reference(PeriodicStream(tuple(pre), tuple(period)), n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(DIGITS, max_size=40), st.sampled_from(["inv_sqrt2", "sqrt2"]), st.integers(1, 60))
+    def test_finite_words(self, digits, boundary, n):
+        _same_as_the_reference(FiniteWord(tuple(digits), boundary), n)
+
+    @pytest.mark.parametrize("stream", [four_blocks_stream(), three_powers_stream()], ids=lambda s: s.name)
+    def test_rule_streams(self, stream):
+        _same_as_the_reference(stream, 400)
+
+    def test_states_are_kept_at_segment_starts(self):
+        """A segment is a maximal run of 1s or 3s, or a single 2, and only
+        its start keeps a state."""
+        from h4approx.cli import make_corpus
+
+        exp = Expansion(make_corpus(1, 5, 5)[3])
+        word = exp.word(2000)
+        starts = [0] + [i for i in range(1, 2000) if word[i] == 2 or word[i] != word[i - 1]]
+        assert exp._starts == starts and len(exp._heads) == len(starts) < 2000 // 3
+
+
+class TestExtendReadsNoFurther:
+    """_extend(n) never makes index n + 1 readable, whichever reader asks,
+    even where the box certifies a run far past n: DigitBudget and the
+    benchmark's capped expansion refuse the first digit past their limit
+    through _extend alone."""
+
+    INPUTS = (Surd.of(2_000_000), Surd.from_ratio(ONE, ZRt2(20_000, 0)), SURD17, Surd.of(1),
+              PeriodicStream((3, 3), (1, 1, 1, 1, 2, 3)), four_blocks_stream())
+
+    @pytest.mark.parametrize("limit", [1, 2, 5, 17, 64])
+    @pytest.mark.parametrize("source", INPUTS, ids=lambda s: str(getattr(s, "name", s))[:24])
+    def test_every_reader_stops_at_its_index(self, source, limit):
+        from tests.digit_expansion import DigitExpansion
+        from tests.test_rosen_cf import DigitBudget
+
+        class Budget(DigitBudget):
+            def _extend(self, n: int) -> None:
+                super()._extend(n)
+                assert len(self._digits) == n, "_extend(n) made an index past n readable"
+
+        reference = DigitExpansion(source)
+        reads = [
+            lambda e: e.word(limit), lambda e: e.digit(limit), lambda e: e.state(limit),
+            lambda e: e.star_cmp_one(limit), lambda e: e.tail_cmp_one(limit - 1),
+            lambda e: e.run_end(1, limit), lambda e: e.matrix(limit),
+        ]
+        for read in reads:
+            assert read(Budget(source, limit)) == read(reference)
+        for read in (lambda e: e.word(limit + 1), lambda e: e.state(limit + 1), lambda e: e.tail_cmp_one(limit)):
+            with pytest.raises(AssertionError, match="past the budget"):
+                read(Budget(source, limit))
+        for i in range(1, limit + 1):  # run_end reads d_{limit+1} iff the run through d_i reaches the limit
+            exp = Budget(source, limit)
+            if reference.run_end(i, limit) == limit:
+                with pytest.raises(AssertionError, match="past the budget"):
+                    exp.run_end(i, limit + 1)
+            else:
+                assert exp.run_end(i, limit + 1) == reference.run_end(i, limit + 1)
+        budget = Budget(source, limit)
+        budget.cap = limit - 1
+        assert _outcome(budget.leading_threes) == _outcome(lambda: DigitExpansion(source, limit - 1).leading_threes())
+
+
+class TestMemory:
+    def test_deep_word_holds_a_quarter_of_the_per_digit_states(self):
+        """word(32000) on corpus[3] held 36.9 MiB with a state per digit;
+        states at segment starts hold under a quarter of that."""
+        import tracemalloc
+
+        from h4approx.cli import make_corpus
+
+        alpha = make_corpus(1, 5, 5)[3]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            exp = Expansion(alpha)
+            exp.word(32_000)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(exp.word(32_000)) == 32_000
+        assert held < 9.2 * 2**20

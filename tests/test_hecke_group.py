@@ -31,6 +31,7 @@ from h4approx.hecke_group import (
     membership,
     numerators_near,
     times_digit,
+    times_run,
 )
 
 
@@ -232,6 +233,17 @@ class TestTimesDigit:
             m = m * DIGIT_MATRICES[d]
             assert as_mat2(g) == m
         assert g[4] == (parity + word.count(2)) % 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(INTS, INTS, INTS, INTS, st.sampled_from([0, 1]), st.sampled_from([1, 3]), st.integers(1, 60))
+    def test_a_run_is_its_digits_one_at_a_time(self, t, v, u, w, parity, d, k):
+        """times_run(G, d, k), the closed form of a run of 1s or 3s, is k
+        calls of times_digit from a state of either parity."""
+        g = (t, v, u, w, parity)
+        step = g
+        for _ in range(k):
+            step = times_digit(step, d)
+        assert times_run(g, d, k) == step
 
     @settings(max_examples=200, deadline=None)
     @given(WORDS)

@@ -350,6 +350,20 @@ class TestConvergentRecurrence:
                 assert [c.index for c in got] == list(range(31)) and {c.kind for c in got} == {cf.kind}
                 assert [c.frac for c in got] == [canonicalize_pair(r, s) for r, s in want]
 
+    def test_fractions_are_canonical_as_built(self):
+        """convergents builds each fraction from the pair's structure; at
+        200 terms of both kinds over the corpus, every one equals
+        canonicalize_pair's."""
+        from h4approx.cli import make_corpus
+
+        checked = 0
+        for alpha in make_corpus(1, 100, 5):
+            for digits in GAUSS_MAPS.values():
+                got = digits(alpha, 200).convergents()
+                assert [c.frac for c in got] == [canonicalize_pair(c.r, c.s) for c in got]
+                checked += len(got)
+        assert checked == 100 * 2 * 201
+
     def test_denominators_must_increase(self):
         # ε = −1 after a_1 = 1 breaks the Rosen rule, so s_2 = 2·1·1 − 1 = 1 < s_1 = √2.
         cf = rosen_digits(SURD17, 2)

@@ -207,7 +207,7 @@ def _box_scale(k: int) -> tuple[int, int, int, int, int]:
 
 
 _SCALE = _box_scale(128)  # the tail box α_n ∈ [L, H]·2^−K of the surd backend, K = 128
-_GUARD = 64  # bits of α's bounds beyond 2·bits(G_n) + K at a refresh, and 2·bits(c, d) in alpha_sign
+_GUARD = 64  # bits of α's bounds beyond 2·bits(G) + k in _tail_box, and 2·bits(c, d) in alpha_sign
 
 
 def _box_run(box: tuple[int, int] | None) -> tuple[int, int]:
@@ -296,6 +296,44 @@ def _enclose(bounds: tuple[int, ...], ca: int, cb: int, da: int, db: int) -> tup
     return lo, hi
 
 
+def _quotient(n: tuple[int, int], m_lo: int, m_hi: int, k: int) -> tuple[int, int]:
+    """Bounds on (N/M)·2^k from N·2^b in [n_lo, n_hi] and M·2^b in
+    [m_lo, m_hi], m_lo > 0: the floor and ceiling of the extreme corners."""
+    n_lo, n_hi = n
+    return ((n_lo << k) // (m_hi if n_lo >= 0 else m_lo),
+            -((-n_hi << k) // (m_lo if n_hi >= 0 else m_hi)))
+
+
+def _tail_box(alpha: Surd, fixed: tuple[int, ...] | None, g: IntMat,
+              k: int) -> tuple[tuple[int, ...], tuple[int, int], tuple[int, int]]:
+    """(fixed, (m_lo, m_hi), (lo, hi)) for x = G⁻¹·α = N/M, N = wα − v and
+    M = t − uα, of a det ±1 integer state G = [[t, v], [u, w]] with M > 0:
+    the _fixed_bounds of α at the precision b it read (from `fixed`, or
+    new), m_lo ≤ M·2^b ≤ m_hi with m_lo > 0, and lo ≤ x·2^k ≤ hi, the
+    corner quotients of N and M, each enclosed by _enclose.  The H4 tail
+    α_n and the Gauss-map iterate x_i are both this x.  det G = ±1 makes M
+    about 1/(|G|·x), so b ≥ 2·bits(G) + k + _GUARD leaves k bits and more
+    in an x of a few bits.  b starts at 256 and only doubles: once more
+    wherever M's lower end is not positive or the box is wider than 4
+    units, as an x of more than about _GUARD/2 bits makes it."""
+    ua, ub, ta, tb = column(g, "tu")
+    wa, wb, va, vb = column(g, "vw")
+    need = 2 * max(map(abs, g[:4])).bit_length() + k + _GUARD
+    b = 256 if fixed is None else fixed[0]
+    while b < need:
+        b *= 2
+    while True:
+        if fixed is None or b > fixed[0]:
+            fixed = _fixed_bounds(alpha, b)
+        neg_hi, neg_lo = _enclose(fixed, ua, ub, ta, tb)  # α·u − t = −M
+        m = (-neg_lo, -neg_hi)
+        if m[0] > 0:
+            lo, hi = _quotient(_enclose(fixed, wa, wb, va, vb), *m, k)
+            if hi - lo <= 4:
+                return fixed, m, (lo, hi)
+        b *= 2
+
+
 class Expansion:
     """Lazy digit/convergent engine over either backend.
 
@@ -346,10 +384,6 @@ class Expansion:
             self.stream = source
         else:
             raise TypeError(f"cannot expand {source!r}")
-
-    @property
-    def terminated_length(self) -> int | None:
-        return len(self._digits) if self._boundary is not None else None
 
     def _extend(self, n: int) -> None:
         digits, stars = self._digits, self._stars
@@ -404,37 +438,15 @@ class Expansion:
         self._box = _box_step(box, d, m)
         return d, m
 
-    def _refresh(self, g: IntMat) -> tuple[int, int] | None:
-        """The tail box of α_n = N/M, N = wα − v and M = t − uα for
-        G = G_n = [[t, v], [u, w]], or None when an end of N or M is not
-        positive.  The entries are ≥ 0 and each is one integer times 1 or
-        √2, so N and M are enclosed by integer combinations of the bounds
-        on α, α√2 and √2 at 2^−b.  det G = 1 makes N and M about 1/|G|, so
-        b ≥ 2·bits(G) + K + _GUARD leaves K bits and more in N/M; b only
-        doubles, and the bounds are kept for the next refresh and alpha_sign."""
-        T, V, U, W, par = g
-        k = _SCALE[0]
-        need = 2 * max(T.bit_length(), V.bit_length(), U.bit_length(), W.bit_length()) + k + _GUARD
-        fixed = self._fixed
-        if fixed is None or fixed[0] < need:
-            b = 256 if fixed is None else fixed[0]
-            while b < need:
-                b *= 2
-            fixed = self._fixed = _fixed_bounds(self.alpha, b)
-        b, a_lo, a_hi, c_lo, c_hi, r2 = fixed
-        if par:  # [[T√2, V], [U, W√2]]
-            n_lo, n_hi = W * c_lo - (V << b), W * c_hi - (V << b)
-            m_lo, m_hi = T * r2 - U * a_hi, T * (r2 + 1) - U * a_lo
-        else:  # [[T, V√2], [U√2, W]]
-            n_lo, n_hi = W * a_lo - V * (r2 + 1), W * a_hi - V * r2
-            m_lo, m_hi = (T << b) - U * c_hi, (T << b) - U * c_lo
-        if n_lo <= 0 or m_lo <= 0:
-            return None
-        return (n_lo << k) // m_hi, -((-n_hi << k) // m_lo)
+    def _refresh(self, g: IntMat) -> tuple[int, int]:
+        """The tail box of α_n at 2^−K for G = G_n, by _tail_box; the bounds
+        on α it read are kept for the next refresh and alpha_sign."""
+        self._fixed, _, box = _tail_box(self.alpha, self._fixed, g, _SCALE[0])
+        return box
 
     def _surd_step(self, g: IntMat) -> tuple[int, IntMat]:
         """The exact digit after G = G_n and G·A_d, from at most two signs:
-        the fallback of _surd_digit when the tail box holds a boundary.  The
+        the fallback of _surd_run when a fresh tail box holds a boundary.  The
         new columns G·A1·∞ and G·A3·0 are the images of the boundaries 1/√2
         and √2, so α_n against 1/√2 is α against the left column of G·A1,
         and α_n against √2 is α against the right column of G·A3.  Each

@@ -8,9 +8,9 @@ Every element also has one of two parity forms, so each entry is one
 integer times 1 or √2.  A chain G_n = A_{d_1}···A_{d_n} is carried as the
 integer state (T, V, U, W, parity): parity 0 is [[T, V√2], [U√2, W]] and
 parity 1 is [[T√2, V], [U, W√2]].  times_digit advances that state on
-plain ints, times_run by a run of 1s or 3s in one step, and as_mat2 builds the Z[√2] matrix only for callers that
-need one.  Mat2 over Z[√2] holds the generators, membership and the
-Möbius action.
+plain ints, times_run by a run of 1s or 3s in one step, and as_mat2
+builds the Z[√2] matrix only for callers that need one.  Mat2 over Z[√2]
+holds the generators, membership and the Möbius action.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2, surd_mobius, zrt2_sign
+from .exact_field import ONE, SQRT2, QRt2, Surd, ZRt2, surd_mobius, zrt2_sign
 
 
 class NotInQH4(ValueError):
@@ -78,10 +78,6 @@ class Mat2:
         if d == -ONE:
             return -adj
         raise ValueError(f"matrix with det {d} has no inverse over Z[sqrt2]")
-
-    def proj_eq(self, other: Mat2) -> bool:
-        """Equality in PSL2: up to overall sign."""
-        return self == other or self == -other
 
     def act(self, x: Surd) -> Surd:
         return surd_mobius(self, x)
@@ -266,23 +262,12 @@ def column_fraction(g: IntMat, side: str) -> H4Fraction:
     return H4Fraction(ZRt2(pa, pb), ZRt2(qa, qb), family)
 
 
-def fraction_of_surd(x: Surd) -> H4Fraction:
-    if not x.is_degenerate():
-        raise NotInQH4(f"{x} is irrational")
-    return canonicalize_pair(x.P, x.S)
-
-
 def ford_tangent(x: H4Fraction, y: H4Fraction) -> bool:
     """Tangency of the two horocycles based at x and y: |p·s − r·q| = 1."""
     if x == y:
         raise ValueError("tangency is defined for distinct base points")
     d = x.p * y.q - y.p * x.q
     return d == ONE or d == -ONE
-
-
-def ford_radius(x: H4Fraction) -> QRt2:
-    """Euclidean radius 1/(2q²) of the horocycle based at x."""
-    return QRt2.from_ratio(ONE, ZRt2(2, 0) * x.q_squared())
 
 
 def denominator_ladder(max_value: int | ZRt2) -> Iterator[ZRt2]:
@@ -320,14 +305,3 @@ def coprime_neighbours(f: int, c: int, odd: bool) -> tuple[int, int]:
     while gcd(hi, m) != 1:
         hi += step
     return lo, hi
-
-
-def numerators_near(alpha: Surd, q: ZRt2) -> list[ZRt2]:
-    """Nearest admissible numerators on each side of q·α for the canonical
-    denominator q: at most one coprime candidate below and one above.
-    The floors of q·α and q·α/√2 are exact predicates on alpha."""
-    if q.a != 0:
-        lo, hi = coprime_neighbours(alpha.floor_linear(q, ZERO, SQRT2), q.a, True)
-        return [ZRt2(0, lo), ZRt2(0, hi)]
-    lo, hi = coprime_neighbours(alpha.floor_linear(q, ZERO, ONE), q.b, False)
-    return [ZRt2(lo, 0), ZRt2(hi, 0)]

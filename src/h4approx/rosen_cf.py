@@ -8,8 +8,9 @@ must agree wherever both apply, and the convergent functions check that
 they do.  The Gauss map runs on an integer state G_i with α = G_i·x_i and
 reads each decision off a box of the iterate x_i over cached integer
 bounds on α, as Lehmer reads quotients off leading words; an exact sign of
-α·c − d decides only where the box straddles.  It shares only α's bounds
-and the sign kernel with the regrouping.
+α·c − d decides only where the box straddles.  It shares with the
+regrouping only the sign kernel and _tail_box, the one routine that boxes
+G⁻¹·α, the iterate x_i here and the tail α_n in the digit engine.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from .exact_field import Surd, ZRt2, zrt2_sign
 from .hecke_group import (
     FAMILY_ODD_OVER_SQRT2, FAMILY_SQRT2_OVER_ODD, IDENTITY, H4Fraction, IntMat, Mat2, as_mat2, column,
 )
-from .h4_expansion import (
-    _GUARD, DEFAULT_CAP, CapExceeded, Expansion, Source, _box_scale, _enclose, _fixed_bounds,
-)
+from .h4_expansion import DEFAULT_CAP, CapExceeded, Expansion, Source, _box_scale, _enclose, _quotient, _tail_box
 
 _ITERATE_SCALE = _box_scale(64)  # the Gauss-map iterate is boxed at 2^−K, K = 64
 
@@ -125,44 +124,17 @@ def _step(g: IntMat, a: int, eps: int) -> IntMat:
     return (-eps * (a * T + V), -T, -eps * (2 * a * U + W), -U, 1)
 
 
-def _quotient(n: tuple[int, int], m_lo: int, m_hi: int, k: int) -> tuple[int, int]:
-    """Bounds on (N/M)·2^k from N·2^b in [n_lo, n_hi] and M·2^b in
-    [m_lo, m_hi], m_lo > 0: the floor and ceiling of the extreme corners."""
-    n_lo, n_hi = n
-    return ((n_lo << k) // (m_hi if n_lo >= 0 else m_lo),
-            -((-n_hi << k) // (m_lo if n_hi >= 0 else m_hi)))
-
-
-def _iterate_box(alpha: Surd, fixed: tuple[int, ...], g: IntMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(fixed, box): the _fixed_bounds of α at the precision b this step
-    reads, and bounds (K, X, X′, Y, Y′, R) in the layout of _enclose on the
-    iterate x = N/M, with N = wα − v and M = t − uα > 0 for
-    G = [[t, v], [u, w]]: X ≤ x·2^K ≤ X′ and Y ≤ x√2·2^K ≤ Y′, the corner
-    quotients of N and √2N by M, all three enclosed at the same b.
-    det G = ±1 makes M about 1/(|G|·x), so b ≥ 2·bits(G) + K + _GUARD
-    leaves K bits and more in an x of a few bits.  b only doubles: once
-    more wherever M's lower end is not positive or the box is wider than
-    4 units, as an iterate of more than about _GUARD/2 bits makes it."""
-    k, r = _ITERATE_SCALE[0], _ITERATE_SCALE[3]
-    ua, ub, ta, tb = column(g, "tu")
+def _iterate_box(alpha: Surd, fixed: tuple[int, ...] | None, g: IntMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(fixed, box): the _fixed_bounds of α that _tail_box read for the
+    iterate x = N/M of G, and bounds (K, X, X′, Y, Y′, R) in the layout of
+    _enclose: X ≤ x·2^K ≤ X′ from _tail_box, and Y ≤ x√2·2^K ≤ Y′ the corner
+    quotients of √2N by M over the same bounds on α."""
+    k = _ITERATE_SCALE[0]
+    fixed, m, (x_lo, x_hi) = _tail_box(alpha, fixed, g, k)
     wa, wb, va, vb = column(g, "vw")
-    need = 2 * max(map(abs, g[:4])).bit_length() + k + _GUARD
-    b = fixed[0]
-    while b < need:
-        b *= 2
-    while True:
-        if b > fixed[0]:
-            fixed = _fixed_bounds(alpha, b)
-        neg_hi, neg_lo = _enclose(fixed, ua, ub, ta, tb)  # α·u − t = −M
-        m_lo, m_hi = -neg_lo, -neg_hi
-        if m_lo > 0:
-            x_lo, x_hi = _quotient(_enclose(fixed, wa, wb, va, vb), m_lo, m_hi, k)
-            if x_hi - x_lo <= 4:
-                break
-        b *= 2
     # √2N = α·√2w − √2v, with √2·(p + q√2) = 2q + p√2
-    y_lo, y_hi = _quotient(_enclose(fixed, 2 * wb, wa, 2 * vb, va), m_lo, m_hi, k)
-    return fixed, (k, x_lo, x_hi, y_lo, y_hi, r)
+    y_lo, y_hi = _quotient(_enclose(fixed, 2 * wb, wa, 2 * vb, va), *m, k)
+    return fixed, (k, x_lo, x_hi, y_lo, y_hi, _ITERATE_SCALE[3])
 
 
 def _exact_sign(alpha: Surd, g: IntMat, ca: int, cb: int, da: int, db: int) -> int:
@@ -221,7 +193,7 @@ def _gauss_map(alpha: Surd, n_terms: int, kind: str, cap: int) -> CFExpansion:
         raise DomainError("value lies in √2·Q")
     gamma, (la, lb) = _KINDS[kind]
     g = IDENTITY
-    fixed, box = _iterate_box(alpha, _fixed_bounds(alpha, 256), g)
+    fixed, box = _iterate_box(alpha, None, g)
     a0 = a = _window(alpha, g, box, gamma)
     terms: list[RosenDigit] = []
     while len(terms) < n_terms:

@@ -17,7 +17,6 @@ from h4approx.hecke_group import (
     canonicalize_pair,
     denominator_ladder,
     membership,
-    numerators_near,
 )
 from h4approx.h4_expansion import Expansion, detect_period
 from h4approx.rosen_cf import dual_rosen_digits, rosen_digits, select_M, select_N
@@ -31,6 +30,7 @@ from h4approx.uniform_approx import (
     uniform_sequence,
 )
 from h4approx.cli import make_corpus
+from tests.test_hecke_group import numerators_near
 
 SURD17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))
 SQRT2_PLUS_1 = ZRt2(1, 1)

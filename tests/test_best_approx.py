@@ -195,7 +195,8 @@ class TestEnumeratorProperties:
     def test_min_error_among_smaller_denominators(self):
         # The error at step i−1 is the minimum over all q below q_i.
         best = best_approximations(SURD17, max_q=120)
-        from h4approx.hecke_group import denominator_ladder, numerators_near
+        from h4approx.hecke_group import denominator_ladder
+        from tests.test_hecke_group import numerators_near
 
         for prev, cur in zip(best, best[1:]):
             assert prev.err is not None
@@ -244,7 +245,8 @@ class TestLegendre:
 
     def test_sufficient_fractions_are_members(self):
         # Scan all canonical fractions with q ≤ 20 near alpha.
-        from h4approx.hecke_group import denominator_ladder, numerators_near
+        from h4approx.hecke_group import denominator_ladder
+        from tests.test_hecke_group import numerators_near
 
         members = {b.frac for b in best_approximations(SURD17, max_q=20)}
         for q in denominator_ladder(20):
@@ -260,7 +262,8 @@ class TestLegendre:
 def surd_subtraction_oracle(alpha: Surd, q_max: int) -> list:
     """Reference oracle scan in Surd arithmetic: each error a Surd
     |q·α − p|, each comparison a Surd subtraction."""
-    from h4approx.hecke_group import denominator_ladder, numerators_near
+    from h4approx.hecke_group import denominator_ladder
+    from tests.test_hecke_group import numerators_near
 
     records = []
     best_err = None
@@ -399,7 +402,8 @@ class TestPredicateErrors:
         assert len(calls) <= len(best) - 1
 
     def test_legendre_bounds_match_surd_arithmetic(self):
-        from h4approx.hecke_group import denominator_ladder, numerators_near
+        from h4approx.hecke_group import denominator_ladder
+        from tests.test_hecke_group import numerators_near
 
         for alpha in (SURD17, Surd.of(1)):
             members = {b.frac for b in best_approximations(alpha, max_q=40)}

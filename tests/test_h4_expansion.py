@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from h4approx import h4_expansion
 from h4approx.exact_field import ONE, SQRT2, QRt2, Surd, ZRt2
-from h4approx.hecke_group import DIGIT_MATRICES, DIGIT_MATRICES_INV, IDENTITY, Mat2
+from h4approx.hecke_group import DIGIT_MATRICES, DIGIT_MATRICES_INV, IDENTITY, Mat2, as_mat2, times_digit
 from h4approx.h4_expansion import (
     CapExceeded,
     Expansion,
@@ -21,10 +21,15 @@ from h4approx.h4_expansion import (
     normalize_alpha,
     three_powers_stream,
 )
-from tests.test_rosen_cf import random_periodic_surd
+from tests.test_rosen_cf import HUGE_QUOTIENT, random_periodic_surd
 
 SURD17 = Surd(ZRt2(3, 0), ONE, ZRt2(17, 0), ZRt2(0, 2))  # (3+√17)/(2√2)
 INV_SQRT2 = Surd.from_ratio(ONE, SQRT2)
+
+
+def terminated_length(exp: Expansion) -> int | None:
+    """The length at which a √2·Q value's expansion ended, once reached."""
+    return len(exp._digits) if exp._boundary is not None else None
 
 
 def next_digit(x: Surd) -> tuple[int, Surd]:
@@ -495,7 +500,7 @@ class TestPredicateEngine:
                     with pytest.raises(Terminated) as info:
                         exp.word(len(steps) + 1)
                     assert info.value.boundary == boundary
-                    assert exp.terminated_length == info.value.length == len(steps)
+                    assert terminated_length(exp) == info.value.length == len(steps)
                     assert exp.word(len(steps)) == tuple(d for d, _ in steps)
                     seen.add(boundary)
         assert seen == {"inv_sqrt2", "sqrt2"}
@@ -587,7 +592,7 @@ class TestSignsFromDigits:
                     Surd.from_ratio(ZRt2(a, 0), ZRt2(0, b)),  # a/(b√2)
                 ):
                     exp = Expansion(alpha)
-                    assert self.check_against_chain(exp, alpha) == exp.terminated_length
+                    assert self.check_against_chain(exp, alpha) == terminated_length(exp)
 
     @pytest.mark.parametrize(
         "stream",
@@ -838,6 +843,102 @@ class TestBlockDigits:
         assert calls["fallback"] == calls["linear_sign_ints"] == calls["enclosure"] == 0
 
 
+
+def _gauss_states(alpha: Surd, n_terms: int) -> list:
+    """The signed integer states G_0 = I, G_1, ... that the Rosen and dual
+    Gauss maps visit on α, replayed with rosen_cf._step over each kind's
+    a0 and terms; none for a value in √2·Q."""
+    from h4approx import rosen_cf
+
+    states = []
+    for digits in (rosen_cf.rosen_digits, rosen_cf.dual_rosen_digits):
+        try:
+            cf = digits(alpha, n_terms)
+        except rosen_cf.DomainError:
+            return []
+        g, a = IDENTITY, cf.a0
+        states.append(g)
+        for t in cf.terms:
+            g = rosen_cf._step(g, a, t.eps)
+            states.append(g)
+            a = t.a
+    return states
+
+
+def _word_states(alpha: Surd, word: list[int]) -> list:
+    """G for every prefix of a digit word, negated where t − uα < 0 (G and
+    −G are one Möbius map), so that M = t − uα > 0; a prefix with M = 0
+    is left out."""
+    states, g = [], IDENTITY
+    for d in word:
+        g = times_digit(g, d)
+        m = as_mat2(g)
+        side = alpha.linear_sign(m.u, m.t)  # sign(α·u − t) = −sign(M)
+        if side:
+            states.append(g if side < 0 else (*(-e for e in g[:4]), g[4]))
+    return states
+
+
+class TestTailBox:
+    """_tail_box is the one box of x = G⁻¹·α = (wα − v)/(t − uα): the
+    digit engine's tail box and the Gauss map's iterate box."""
+
+    @pytest.mark.parametrize("k", [2, 64, 128])
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=big_surds(), word=st.lists(st.sampled_from([1, 2, 3]), max_size=40))
+    @example(alpha=HUGE_QUOTIENT, word=[3, 2])  # an iterate of 300 bits needs the width rule
+    @example(alpha=SURD17, word=[2] * 40)  # G of 51 bits: b = 512 where 2·bits(G) + 128 < 256
+    def test_box_encloses_exactly(self, k, alpha, word):
+        states = _word_states(alpha, word) + _gauss_states(alpha, 12)
+        fixed = None
+        for g in states:
+            b_before = 0 if fixed is None else fixed[0]
+            fixed, (m_lo, m_hi), (lo, hi) = h4_expansion._tail_box(alpha, fixed, g, k)
+            b = fixed[0]
+            assert b >= max(b_before, 2 * max(map(abs, g[:4])).bit_length() + k + h4_expansion._GUARD)
+            assert fixed == h4_expansion._fixed_bounds(alpha, b)
+            m = as_mat2(g)
+            # m_lo ≤ M·2^b ≤ m_hi, M = t − uα > 0
+            assert 0 < m_lo <= m_hi
+            scale = ZRt2(1 << b, 0)
+            assert alpha.linear_sign(-m.u * scale, ZRt2(m_lo, 0) - m.t * scale) >= 0
+            assert alpha.linear_sign(-m.u * scale, ZRt2(m_hi, 0) - m.t * scale) <= 0
+            # lo·2^−k ≤ x ≤ hi·2^−k: N·2^k − lo·M ≥ 0 and N·2^k − hi·M ≤ 0
+            one = ZRt2(1 << k, 0)
+            for end, sign in ((lo, 1), (hi, -1)):
+                c, d = m.w * one + m.u * ZRt2(end, 0), m.v * one + m.t * ZRt2(end, 0)
+                assert sign * alpha.linear_sign(c, d) >= 0
+            assert hi - lo <= 4
+
+    def test_one_precision_policy(self, monkeypatch):
+        """Each consumer's bounds on α are built at b = 256·2^j, j strictly
+        increasing: never rebuilt at the same or a smaller b."""
+        from h4approx import rosen_cf
+        from h4approx.cli import make_corpus
+
+        alpha = make_corpus(1, 5, 5)[3]
+        seen: list[int] = []
+        real = h4_expansion._fixed_bounds
+
+        def counted(a, b):
+            seen.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(h4_expansion, "_fixed_bounds", counted)
+        consumers = {
+            "expansion": lambda: Expansion(alpha).word(14_000),
+            "rosen": lambda: rosen_cf.rosen_digits(alpha, 200),
+            "dual": lambda: rosen_cf.dual_rosen_digits(alpha, 200),
+        }
+        for name, run in consumers.items():
+            seen.clear()
+            run()
+            assert seen, name
+            js = [b.bit_length() - 9 for b in seen]
+            assert seen == [256 << j for j in js], name
+            assert all(i < j for i, j in zip(js, js[1:])), name
+
+
 class TestCachedReads:
     def test_second_walk_does_not_extend(self, monkeypatch):
         from h4approx.best_approx import best_approximations
@@ -919,7 +1020,7 @@ def _readers(cls, source, n: int, cap: int) -> dict:
     return {
         **fresh,
         "end": end,
-        "boundary": exp.terminated_length,
+        "boundary": terminated_length(exp),
         "past": _outcome(lambda: exp.tail_cmp_one(end + 1)),
         "digits": [exp.digit(i) for i in range(1, end + 1)],
         "states": [exp.state(i) for i in range(end + 1)],

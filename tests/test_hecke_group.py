@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h4approx.exact_field import ONE, SQRT2, QRt2, Surd, ZRt2
+from h4approx.exact_field import ONE, SQRT2, ZERO, QRt2, Surd, ZRt2
 from h4approx.hecke_group import (
     A1,
     A2,
@@ -14,25 +14,52 @@ from h4approx.hecke_group import (
     DIGIT_DUAL,
     DIGIT_MATRICES,
     H,
+    H4Fraction,
     J,
     Mat2,
     NotInQH4,
     R,
     canonicalize,
     canonicalize_pair,
+    coprime_neighbours,
     denominator_ladder,
-    ford_radius,
     ford_tangent,
-    fraction_of_surd,
     IDENTITY,
     as_mat2,
     column_fraction,
     generators,
     membership,
-    numerators_near,
     times_digit,
     times_run,
 )
+
+
+def proj_eq(m: Mat2, other: Mat2) -> bool:
+    """Equality in PSL2: up to overall sign."""
+    return m == other or m == -other
+
+
+def fraction_of_surd(x: Surd) -> H4Fraction:
+    """The canonical fraction of a surd with Q = 0."""
+    if not x.is_degenerate():
+        raise NotInQH4(f"{x} is irrational")
+    return canonicalize_pair(x.P, x.S)
+
+
+def ford_radius(x: H4Fraction) -> QRt2:
+    """Euclidean radius 1/(2q²) of the horocycle based at x."""
+    return QRt2.from_ratio(ONE, ZRt2(2, 0) * x.q_squared())
+
+
+def numerators_near(alpha: Surd, q: ZRt2) -> list[ZRt2]:
+    """Nearest admissible numerators on each side of q·α for the canonical
+    denominator q: at most one coprime candidate below and one above.
+    The floors of q·α and q·α/√2 are exact predicates on alpha."""
+    if q.a != 0:
+        lo, hi = coprime_neighbours(alpha.floor_linear(q, ZERO, SQRT2), q.a, True)
+        return [ZRt2(0, lo), ZRt2(0, hi)]
+    lo, hi = coprime_neighbours(alpha.floor_linear(q, ZERO, ONE), q.b, False)
+    return [ZRt2(lo, 0), ZRt2(hi, 0)]
 
 
 class TestGenerators:
@@ -40,7 +67,7 @@ class TestGenerators:
         assert A2.det() == ONE
 
     def test_r_fourth_power_projective_identity(self):
-        assert (R**4).proj_eq(Mat2.identity())
+        assert proj_eq(R**4, Mat2.identity())
 
     def test_digit_inverse_conjugation(self):
         for d, m in DIGIT_MATRICES.items():

@@ -236,7 +236,8 @@ class TestDirichlet:
         # Past the small-q transient, min over the ladder of q·|q·1 − p| sits
         # just below 1/2 and climbs toward it: the asymptotic floor is 1/2,
         # approached from below.  (Checked empirically; not a certification.)
-        from h4approx.hecke_group import denominator_ladder, numerators_near
+        from h4approx.hecke_group import denominator_ladder
+        from tests.test_hecke_group import numerators_near
 
         one = Surd.of(1)
         best = None
